@@ -1,9 +1,11 @@
 """Key-rate maximization over (mu, t_B) and distance scans.
 
-Grid-then-refine: the objective is evaluated on a log-spaced mu grid times a
-linear t_B grid, then the incumbent is polished by coordinate-wise
-golden-section passes.  Everything is deterministic; ties resolve to the
-smallest mu, then the smallest t_B.
+Grid-then-refine: at each distance the objective is evaluated on a log-spaced
+mu grid times a linear t_B grid, then the incumbents of all distances are
+polished together by coordinate-wise golden-section passes that run in
+lockstep, one objective call over every distance per step.  A distance's
+result equals what a search at that distance alone would give.  Everything is
+deterministic; ties resolve to the smallest mu, then the smallest t_B.
 """
 
 from __future__ import annotations
@@ -106,9 +108,12 @@ class ScanConfig:
         return np.linspace(self.tb_min, self.tb_max, self.n_tb)
 
 
-def _objective_surface(base: SystemParams, mu, t_b, protocol: Protocol):
-    """Key rate of the requested protocol, elementwise over broadcastable mu, t_B."""
-    eta = total_transmittance(base)
+def _objective_surface(base: SystemParams, eta, mu, t_b, protocol: Protocol):
+    """Key rate of the requested protocol, elementwise over broadcastable eta, mu, t_B.
+
+    ``eta`` is the total transmittance; ``base`` supplies the other link
+    parameters and the variant, and its distance is not used.
+    """
     p_d, e_a, f_ec = base.p_d, base.e_a, base.f_ec
     active = base.variant is Variant.ACTIVE
 
@@ -165,81 +170,98 @@ def evaluate_point(params: SystemParams, protocol: Protocol = Protocol.COW) -> R
     )
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]:
-    """Deterministic golden-section maximizer of f on [lo, hi]."""
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray,
+                iters: int = 48) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic lockstep golden-section maximizer, one bracket [lo[k], hi[k]] per k.
+
+    Every step makes one call of f over all brackets, and np.where applies each
+    bracket's own update, so element k takes exactly the steps that a scalar
+    search on [lo[k], hi[k]] would take.
+    """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+        left = fc >= fd  # the maximum lies in [a, d]: d becomes the upper end
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fx = f(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    keep_c = fc >= fd
+    return np.where(keep_c, c, d), np.where(keep_c, fc, fd)
+
+
+# math.exp and math.log element by element: a mu on the search path does not
+# depend on numpy's vector exp and log, which may round differently.
+_exp = np.vectorize(math.exp, otypes=[float])
+_log = np.vectorize(math.log, otypes=[float])
 
 
 def optimize_point(base_params: SystemParams, config: ScanConfig) -> RatePoint:
     """Maximize the configured key rate over (mu, t_B) at base_params' distance.
 
-    Full-grid evaluation first, then ``refine_iters`` rounds of coordinate-wise
-    golden-section refinement (log-space for mu) bracketed by the neighboring
-    grid cells.  The refined value never falls below the grid incumbent.
+    A one-distance :func:`scan`; ``config.L_values`` is not used.
     """
-    mu_grid = config.mu_grid()
-    tb_grid = config.tb_grid()
-    mu_mesh, tb_mesh = np.meshgrid(mu_grid, tb_grid, indexing="ij")
-    surface = _objective_surface(base_params, mu_mesh, tb_mesh, config.protocol)
-
-    flat_best = int(np.argmax(surface))  # C order: ties resolve to smallest mu, then t_B
-    i_mu, i_tb = np.unravel_index(flat_best, surface.shape)
-    best_rate = float(surface[i_mu, i_tb])
-    best_mu = float(mu_grid[i_mu])
-    best_tb = float(tb_grid[i_tb])
-
-    if best_rate > 0.0 and config.refine_iters > 0:
-        mu_lo = float(mu_grid[max(i_mu - 1, 0)])
-        mu_hi = float(mu_grid[min(i_mu + 1, len(mu_grid) - 1)])
-        tb_lo = float(tb_grid[max(i_tb - 1, 0)])
-        tb_hi = float(tb_grid[min(i_tb + 1, len(tb_grid) - 1)])
-        for _ in range(config.refine_iters):
-            if config.mu_fixed is None:
-                tb_now = best_tb
-
-                def rate_of_log_mu(log_mu: float) -> float:
-                    return float(_objective_surface(
-                        base_params, math.exp(log_mu), tb_now, config.protocol))
-
-                log_mu, rate = _golden_max(rate_of_log_mu, math.log(mu_lo), math.log(mu_hi))
-                if rate > best_rate:
-                    best_rate, best_mu = rate, math.exp(log_mu)
-            if config.tb_fixed is None:
-                mu_now = best_mu
-
-                def rate_of_tb(t_b: float) -> float:
-                    return float(_objective_surface(base_params, mu_now, t_b, config.protocol))
-
-                t_b, rate = _golden_max(rate_of_tb, tb_lo, tb_hi)
-                if rate > best_rate:
-                    best_rate, best_tb = rate, t_b
-
-    point = evaluate_point(
-        replace(base_params, mu=best_mu, t_B=best_tb), config.protocol
-    )
-    return point
+    return scan(base_params, replace(config, L_values=(base_params.L_km,)))[0]
 
 
 def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
-    """optimize_point at every distance of the config, in input order.
+    """Maximize the configured key rate over (mu, t_B) at every distance, in input order.
+
+    Each distance gets a full-grid evaluation, of which only the incumbent and
+    its neighbouring grid cells are kept.  Then every distance with a positive
+    grid rate is refined at once: ``refine_iters`` rounds of coordinate-wise
+    golden-section passes (log-space for mu), bracketed by those neighbours,
+    run in lockstep with one objective call over all these distances per step.
+    A refined value never falls below its grid incumbent, and a row does not
+    depend on the other distances of the scan.  Each row is the validated
+    :func:`evaluate_point` at its distance's optimum.
 
     Zero-rate points are flagged, never fatal: a scan always spans its full
     distance list.
     """
-    points = []
-    for L in config.L_values:
-        points.append(optimize_point(replace(base_params, L_km=float(L)), config))
-    return points
+    protocol = config.protocol
+    mu_grid = config.mu_grid()
+    tb_grid = config.tb_grid()
+    mu_mesh, tb_mesh = np.meshgrid(mu_grid, tb_grid, indexing="ij")
+    sites = [replace(base_params, L_km=float(L)) for L in config.L_values]
+    eta = [total_transmittance(site) for site in sites]
+
+    best_rate = np.empty(len(sites))
+    i_mu = np.empty(len(sites), dtype=int)
+    i_tb = np.empty(len(sites), dtype=int)
+    for k, eta_k in enumerate(eta):
+        surface = _objective_surface(base_params, eta_k, mu_mesh, tb_mesh, protocol)
+        flat_best = int(np.argmax(surface))  # C order: ties resolve to smallest mu, then t_B
+        i_mu[k], i_tb[k] = np.unravel_index(flat_best, surface.shape)
+        best_rate[k] = surface[i_mu[k], i_tb[k]]
+    best_mu = mu_grid[i_mu]
+    best_tb = tb_grid[i_tb]
+
+    live = np.flatnonzero(best_rate > 0.0)
+    if live.size:
+        eta_live = np.array(eta)[live]
+        rate, mu, t_b = best_rate[live], best_mu[live], best_tb[live]
+        log_mu_lo = _log(mu_grid[np.maximum(i_mu[live] - 1, 0)])
+        log_mu_hi = _log(mu_grid[np.minimum(i_mu[live] + 1, len(mu_grid) - 1)])
+        tb_lo = tb_grid[np.maximum(i_tb[live] - 1, 0)]
+        tb_hi = tb_grid[np.minimum(i_tb[live] + 1, len(tb_grid) - 1)]
+        for _ in range(config.refine_iters):
+            if config.mu_fixed is None:
+                log_mu, new = _golden_max(
+                    lambda x: _objective_surface(base_params, eta_live, _exp(x), t_b, protocol),
+                    log_mu_lo, log_mu_hi)
+                better = new > rate
+                rate, mu = np.where(better, new, rate), np.where(better, _exp(log_mu), mu)
+            if config.tb_fixed is None:
+                new_tb, new = _golden_max(
+                    lambda x: _objective_surface(base_params, eta_live, mu, x, protocol),
+                    tb_lo, tb_hi)
+                better = new > rate
+                rate, t_b = np.where(better, new, rate), np.where(better, new_tb, t_b)
+        best_mu[live], best_tb[live] = mu, t_b
+
+    return [evaluate_point(replace(site, mu=float(m), t_B=float(t)), protocol)
+            for site, m, t in zip(sites, best_mu, best_tb)]

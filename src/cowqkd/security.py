@@ -139,9 +139,9 @@ def _bounds_kernel(q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu):
     e_plus_half = np.exp(mu / 2.0)
     e_minus_half = np.exp(-mu / 2.0)
     e_full = np.exp(mu)
-    upper = (1.0 / n_plus) * (e_plus_half * np.sqrt(q_aa_m1) + e_minus_half * np.sqrt(q_00_m1)) ** 2 \
+    upper = (1.0 / n_plus) * np.square(e_plus_half * np.sqrt(q_aa_m1) + e_minus_half * np.sqrt(q_00_m1)) \
         + (n_minus / n_plus) * (e_full * n_minus / 4.0 + e_full * np.sqrt(q_aa_m1) + np.sqrt(q_00_m1))
-    lower = (1.0 / n_plus) * (e_plus_half * np.sqrt(q_aa_m0) - e_minus_half * np.sqrt(q_00_m0)) ** 2 \
+    lower = (1.0 / n_plus) * np.square(e_plus_half * np.sqrt(q_aa_m0) - e_minus_half * np.sqrt(q_00_m0)) \
         - (n_minus / n_plus) * (e_full * np.sqrt(q_aa_m0) + np.sqrt(q_00_m0))
     return np.minimum(upper, 1.0), np.maximum(lower, 0.0)
 

@@ -1,8 +1,13 @@
+import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cowqkd import ParameterError, Protocol, ScanConfig, evaluate_point, optimize_point, scan
 from cowqkd.optimize import FLAG_NO_POSITIVE_RATE, _objective_surface
+from cowqkd.params import total_transmittance
 from conftest import make_params
 
 
@@ -17,7 +22,8 @@ def test_optimized_rate_dominates_every_grid_point():
     config = reference_config()
     point = optimize_point(base, config)
     mu_mesh, tb_mesh = np.meshgrid(config.mu_grid(), config.tb_grid(), indexing="ij")
-    surface = _objective_surface(base, mu_mesh, tb_mesh, config.protocol)
+    surface = _objective_surface(base, total_transmittance(base), mu_mesh, tb_mesh,
+                                 config.protocol)
     assert point.R >= float(surface.max())
 
 
@@ -26,11 +32,30 @@ def test_vector_and_scalar_paths_agree_exactly():
     config = reference_config()
     mu_grid, tb_grid = config.mu_grid(), config.tb_grid()
     mu_mesh, tb_mesh = np.meshgrid(mu_grid, tb_grid, indexing="ij")
-    surface = _objective_surface(base, mu_mesh, tb_mesh, config.protocol)
+    surface = _objective_surface(base, total_transmittance(base), mu_mesh, tb_mesh,
+                                 config.protocol)
     for i, j in ((0, 0), (30, 20), (45, 48), (59, 10)):
-        from dataclasses import replace
         point = evaluate_point(replace(base, mu=float(mu_grid[i]), t_B=float(tb_grid[j])))
         assert point.R == float(surface[i, j])
+
+    # 2e4 seeded random points, with mu below 0.03 where most COW rates are
+    # positive: a last-ulp difference between the array and the scalar
+    # evaluation shows up at roughly one point in 1000.
+    rng = np.random.default_rng(5)
+    mismatches = []
+    for variant in ("passive", "active"):
+        for L in (0.0, 20.0, 40.0, 60.0, 80.0):
+            site = make_params(L_km=L, variant=variant, e_a=0.01)
+            mu = np.exp(rng.uniform(math.log(1e-4), math.log(0.03), 2000))
+            t_b = rng.uniform(0.01, 0.99, 2000)
+            eta = total_transmittance(site)
+            r = _objective_surface(site, eta, mu, t_b, Protocol.COW)
+            r_tilde = _objective_surface(site, eta, mu, t_b, Protocol.NONCLASSICAL)
+            for k in range(mu.size):
+                point = evaluate_point(replace(site, mu=float(mu[k]), t_B=float(t_b[k])))
+                if (point.R, point.R_tilde) != (r[k], r_tilde[k]):
+                    mismatches.append((variant, L, float(mu[k]), float(t_b[k])))
+    assert mismatches == []
 
 
 def test_optimize_point_deterministic():
@@ -130,3 +155,95 @@ def test_rate_point_fields_populated():
     assert 0.0 < point.E_p_u <= 0.5
     assert point.R_plob > point.R
     assert point.R_tilde >= point.R
+
+
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max_scalar(f, lo, hi, iters=48):
+    a, b = lo, hi
+    c = b - INV_PHI * (b - a)
+    d = a + INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INV_PHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def reference_scan(base, config):
+    """One distance at a time: grid, then scalar coordinate-wise golden-section passes."""
+    mu_grid, tb_grid = config.mu_grid(), config.tb_grid()
+    mu_mesh, tb_mesh = np.meshgrid(mu_grid, tb_grid, indexing="ij")
+    points = []
+    for L in config.L_values:
+        site = replace(base, L_km=float(L))
+        eta = total_transmittance(site)
+
+        def rate(mu, t_b):
+            return float(_objective_surface(site, eta, mu, t_b, config.protocol))
+
+        surface = _objective_surface(site, eta, mu_mesh, tb_mesh, config.protocol)
+        i_mu, i_tb = np.unravel_index(int(np.argmax(surface)), surface.shape)
+        best_rate = float(surface[i_mu, i_tb])
+        best_mu, best_tb = float(mu_grid[i_mu]), float(tb_grid[i_tb])
+        if best_rate > 0.0:
+            mu_lo = float(mu_grid[max(i_mu - 1, 0)])
+            mu_hi = float(mu_grid[min(i_mu + 1, len(mu_grid) - 1)])
+            tb_lo = float(tb_grid[max(i_tb - 1, 0)])
+            tb_hi = float(tb_grid[min(i_tb + 1, len(tb_grid) - 1)])
+            for _ in range(config.refine_iters):
+                if config.mu_fixed is None:
+                    log_mu, r = _golden_max_scalar(lambda x: rate(math.exp(x), best_tb),
+                                                   math.log(mu_lo), math.log(mu_hi))
+                    if r > best_rate:
+                        best_rate, best_mu = r, math.exp(log_mu)
+                if config.tb_fixed is None:
+                    t_b, r = _golden_max_scalar(lambda x: rate(best_mu, x), tb_lo, tb_hi)
+                    if r > best_rate:
+                        best_rate, best_tb = r, t_b
+        points.append(evaluate_point(replace(site, mu=best_mu, t_B=best_tb), config.protocol))
+    return points
+
+
+def test_lockstep_scan_matches_scalar_reference_exactly():
+    # unsorted, with a duplicate and with zero-rate distances: 1000 km always,
+    # 300 km and 120 km for most settings
+    distances = (50.0, 300.0, 0.0, 120.0, 50.0, 1000.0, 20.0)
+    settings = [({}, {}), ({}, {"mu_fixed": 0.004}), ({}, {"tb_fixed": 0.37}),
+                ({}, {"refine_iters": 0}), ({}, {"refine_iters": 1}),
+                ({}, {"refine_iters": 5}), ({}, {"n_mu": 7, "n_tb": 3}),
+                ({"atten_db_per_km": 0.0}, {})]
+    for variant in ("passive", "active"):
+        for protocol in Protocol:
+            for params, overrides in settings:
+                base = make_params(variant=variant, e_a=0.01, **params)
+                config = reference_config(L_values=distances, protocol=protocol, **overrides)
+                points = scan(base, config)
+                assert points == reference_scan(base, config), (variant, protocol, overrides)
+                if params or overrides:
+                    continue
+                assert (points[0].flag, points[5].flag) == ("", FLAG_NO_POSITIVE_RATE)
+                # a row does not depend on the other distances of its scan
+                for L, point in zip(distances, points):
+                    assert scan(base, replace(config, L_values=(L,))) == [point]
+
+
+def test_scan_memory_is_per_distance():
+    base = make_params()
+    config = reference_config(L_values=tuple(0.5 * k for k in range(301)))
+    scan(base, reference_config())  # warm-up outside the traced region
+    tracemalloc.start()
+    try:
+        scan(base, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 60 x 49 surface and its temporaries at a time, never one per distance
+    assert peak < 4e6
