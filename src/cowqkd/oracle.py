@@ -90,9 +90,7 @@ def sample_clicks(lambda_mean: float, p_d: float, n: int,
     counts: K ~ Binomial(n, p_d) distinct trials, chosen uniformly.  Light:
     N ~ Poisson(n * lambda_mean) photons, each landing on a uniform trial,
     which gives every trial an independent Poisson(lambda_mean) photon
-    number.  Bright light is split into batches of mean at most n, and once
-    every trial has clicked the rest cannot change the outcome, so it costs
-    O(n log n) draws and O(n) memory.  Each outcome is True with probability
+    number.  Each outcome is True with probability
     1 - (1 - p_d) * exp(-lambda_mean), which is never evaluated here.
     """
     if not lambda_mean >= 0.0:
@@ -100,11 +98,7 @@ def sample_clicks(lambda_mean: float, p_d: float, n: int,
     clicks = np.zeros(n, dtype=bool)
     n_dark = int(rng.binomial(n, p_d))
     clicks[rng.choice(n, size=n_dark, replace=False, shuffle=False)] = True
-    photon_mean = n * lambda_mean
-    while photon_mean > 0.0 and not clicks.all():
-        batch_mean = min(photon_mean, n)
-        clicks[rng.integers(0, n, size=rng.poisson(batch_mean))] = True
-        photon_mean -= batch_mean
+    clicks[rng.integers(0, n, size=rng.poisson(n * lambda_mean))] = True
     return clicks
 
 

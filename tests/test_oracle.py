@@ -79,22 +79,6 @@ def test_sample_click_single_trial_frequency():
     assert within_sigma(hits / trials, 1 - math.exp(-1.0), trials)
 
 
-def test_bright_light_saturates_in_bounded_memory():
-    # 5e6 photons on 1e4 trials are scattered in batches of about n until
-    # every trial has clicked, never all at once; a photon total beyond
-    # numpy's Poisson range (about 9e18) is never drawn
-    n = 10_000
-    tracemalloc.start()
-    try:
-        clicks = sample_clicks(500.0, 0.0, n, rng_for_tests())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert clicks.all()
-    assert peak <= 12 * n
-    assert sample_clicks(1e300, 0.0, n, rng_for_tests()).all()
-
-
 def test_sampler_memory_per_trial():
     # the mask plus one index per photon or dark count, not dense per-trial
     # Poisson and uniform arrays
@@ -279,20 +263,16 @@ def test_verification_detects_tampered_analytic_model():
 def test_verification_ratio_report_tracks_spectator_factors():
     # the sampled squash model carries none of the spectator conditioning
     # factors of the literal closed forms, so each ratio should land near
-    # squash-model / closed-form (up to sampling noise).  The tolerance is
-    # 20%, widened to 4 standard errors where the expected count is so small
-    # (about 25 for reference-point's Q_aa_M1) that 20% is one sigma.
-    n = 200_000
-    report = run_verification(n, seed=2)
+    # squash-model / closed-form (up to sampling noise).  At 5e6 samples the
+    # sparsest entry (reference-point's Q_aa_M1, about 600 expected counts)
+    # is about 5 standard errors inside the 20% band.
+    report = run_verification(5_000_000, seed=2)
     for case in report.cases:
         model = model_monitoring_gains(case.params)
         for entry in case.ratios:
             if entry.closed_form > 1e-4:
-                q = model[entry.name]
-                expected = q / entry.closed_form
-                four_sigma = 4.0 * math.sqrt(q * (1.0 - q) / n) / entry.closed_form
-                assert entry.ratio == pytest.approx(expected, rel=0.2, abs=four_sigma), \
-                    (case.label, entry)
+                expected = model[entry.name] / entry.closed_form
+                assert entry.ratio == pytest.approx(expected, rel=0.2), (case.label, entry)
 
 
 def test_gate_z_scores_are_standard_normal_across_seeds():
