@@ -3,9 +3,11 @@
 Grid-then-refine: at each distance the objective is evaluated on a log-spaced
 mu grid times a linear t_B grid, then the incumbents of all distances are
 polished together by coordinate-wise golden-section passes that run in
-lockstep, one objective call over every distance per step.  A distance's
-result equals what a search at that distance alone would give.  Everything is
-deterministic; ties resolve to the smallest mu, then the smallest t_B.
+lockstep.  One objective call over every distance evaluates all the points
+that the next four steps could probe, and a pass is skipped when it could not
+move.  A distance's result equals what a scalar step-by-step search at that
+distance alone would give.  Everything is deterministic; ties resolve to the
+smallest mu, then the smallest t_B, and a NaN grid cell never wins.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from .security import (
 __all__ = ["Protocol", "ScanConfig", "evaluate_point", "optimize_point", "scan"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps resolved per objective call (see _golden_max).
+_LOOKAHEAD = 4
 
 FLAG_NO_POSITIVE_RATE = "no_positive_rate"
 
@@ -174,21 +178,46 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray,
                 iters: int = 48) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic lockstep golden-section maximizer, one bracket [lo[k], hi[k]] per k.
 
-    Every step makes one call of f over all brackets, and np.where applies each
-    bracket's own update, so element k takes exactly the steps that a scalar
-    search on [lo[k], hi[k]] would take.
+    A step's probe depends only on the comparisons before it.  So one call of
+    f on a stacked ``(2**depth - 1, n)`` array evaluates every point that the
+    next ``depth`` steps could probe, the nodes of their decision tree, each
+    built with the scalar step's float operations.  The steps are then
+    replayed with the true comparisons.  Element k thus takes exactly the
+    probes, comparisons and result of a scalar search on [lo[k], hi[k]], at
+    one call of f per ``_LOOKAHEAD`` steps.
     """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
+    fc, fd = f(np.stack([c, d]))
+    cols = np.arange(len(lo))
+    for start in range(0, iters, _LOOKAHEAD):
+        depth = min(_LOOKAHEAD, iters - start)
+        # The first step's comparison is already known, so its probe is the root.
         left = fc >= fd  # the maximum lies in [a, d]: d becomes the upper end
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        fx = f(x)
-        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
-                        np.where(left, fx, fd), np.where(left, fc, fx))
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        # Level j of the tree is a (2**j, n) array.  The children of the node
+        # at position p sit at p if its comparison holds (left), else at p + 2**j.
+        a, b, c, d, probes = a[None], b[None], c[None], d[None], [x[None]]
+        for _ in range(depth - 1):
+            x_left = d - _INV_PHI * (d - a)
+            x_right = c + _INV_PHI * (b - c)
+            a, b, c, d = (np.concatenate([a, c]), np.concatenate([d, b]),
+                          np.concatenate([x_left, d]), np.concatenate([c, x_right]))
+            probes.append(np.concatenate([x_left, x_right]))
+        f_tree = f(np.concatenate(probes))
+        # Replay: step j probes the node at position pos of level j, which is
+        # row 2**j - 1 + pos of f_tree.
+        pos = np.zeros(len(lo), dtype=int)
+        for j in range(depth):
+            if j:
+                left = fc >= fd
+                pos = np.where(left, pos, pos + (1 << (j - 1)))
+            fx = f_tree[(1 << j) - 1 + pos, cols]
+            fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        a, b, c, d = a[pos, cols], b[pos, cols], c[pos, cols], d[pos, cols]
     keep_c = fc >= fd
     return np.where(keep_c, c, d), np.where(keep_c, fc, fd)
 
@@ -214,9 +243,13 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     its neighbouring grid cells are kept.  Then every distance with a positive
     grid rate is refined at once: ``refine_iters`` rounds of coordinate-wise
     golden-section passes (log-space for mu), bracketed by those neighbours,
-    run in lockstep with one objective call over all these distances per step.
-    A refined value never falls below its grid incumbent, and a row does not
-    depend on the other distances of the scan.  Each row is the validated
+    run in lockstep with one objective call over all these distances per four
+    steps (see :func:`_golden_max`).  A pass runs only if it has not run yet or
+    the other coordinate has moved since, as a rerun could not win: the active
+    variant's ``t_B`` pass runs once, and a scan with ``mu_fixed`` or
+    ``tb_fixed`` runs one pass whatever ``refine_iters`` is.  A refined value
+    never falls below its grid incumbent, and a row does not depend on the
+    other distances of the scan.  Each row is the validated
     :func:`evaluate_point` at its distance's optimum.
 
     Zero-rate points are flagged, never fatal: a scan always spans its full
@@ -225,7 +258,6 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     protocol = config.protocol
     mu_grid = config.mu_grid()
     tb_grid = config.tb_grid()
-    mu_mesh, tb_mesh = np.meshgrid(mu_grid, tb_grid, indexing="ij")
     sites = [replace(base_params, L_km=float(L)) for L in config.L_values]
     eta = [total_transmittance(site) for site in sites]
 
@@ -233,7 +265,9 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     i_mu = np.empty(len(sites), dtype=int)
     i_tb = np.empty(len(sites), dtype=int)
     for k, eta_k in enumerate(eta):
-        surface = _objective_surface(base_params, eta_k, mu_mesh, tb_mesh, protocol)
+        surface = _objective_surface(base_params, eta_k, mu_grid[:, None], tb_grid[None, :],
+                                     protocol)
+        surface = np.fmax(surface, -np.inf)  # a NaN cell (overflow at huge mu) never wins
         flat_best = int(np.argmax(surface))  # C order: ties resolve to smallest mu, then t_B
         i_mu[k], i_tb[k] = np.unravel_index(flat_best, surface.shape)
         best_rate[k] = surface[i_mu[k], i_tb[k]]
@@ -248,19 +282,25 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
         log_mu_hi = _log(mu_grid[np.minimum(i_mu[live] + 1, len(mu_grid) - 1)])
         tb_lo = tb_grid[np.maximum(i_tb[live] - 1, 0)]
         tb_hi = tb_grid[np.minimum(i_tb[live] + 1, len(tb_grid) - 1)]
+        # A pass is due until it has run, and again once the other coordinate
+        # moves: rerun on an unchanged objective and bracket, it could not win.
+        mu_free, tb_free = config.mu_fixed is None, config.tb_fixed is None
+        mu_due, tb_due = mu_free, tb_free
         for _ in range(config.refine_iters):
-            if config.mu_fixed is None:
+            if mu_due:
                 log_mu, new = _golden_max(
                     lambda x: _objective_surface(base_params, eta_live, _exp(x), t_b, protocol),
                     log_mu_lo, log_mu_hi)
                 better = new > rate
                 rate, mu = np.where(better, new, rate), np.where(better, _exp(log_mu), mu)
-            if config.tb_fixed is None:
+                mu_due, tb_due = False, tb_due or (tb_free and bool(better.any()))
+            if tb_due:
                 new_tb, new = _golden_max(
                     lambda x: _objective_surface(base_params, eta_live, mu, x, protocol),
                     tb_lo, tb_hi)
                 better = new > rate
                 rate, t_b = np.where(better, new, rate), np.where(better, new_tb, t_b)
+                tb_due, mu_due = False, mu_free and bool(better.any())
         best_mu[live], best_tb[live] = mu, t_b
 
     return [evaluate_point(replace(site, mu=float(m), t_B=float(t)), protocol)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gains import GainSet
+from .params import ParameterError
 
 __all__ = [
     "BoundPair",
@@ -115,12 +116,12 @@ class RatePoint:
 # ---------------------------------------------------------------------------
 
 def _entropy_kernel(a):
-    """Binary Shannon entropy with h(0) = h(1) = 0 by continuity."""
+    """Binary Shannon entropy with h(0) = h(1) = 0 by continuity; NaN stays NaN."""
     a = np.asarray(a, dtype=float)
-    inside = (a > 0.0) & (a < 1.0)
-    safe = np.where(inside, a, 0.5)
+    edge = (a <= 0.0) | (a >= 1.0)
+    safe = np.where(edge, 0.5, a)
     value = -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe)
-    return np.where(inside, value, 0.0)
+    return np.where(edge, 0.0, value)
 
 
 def _n_plus(mu):
@@ -189,7 +190,7 @@ def _key_rate_kernel(q_z, e_phase, e_bit, f_ec):
 def binary_entropy(a: float) -> float:
     """h(a) = -a log2 a - (1-a) log2(1-a), with h(0) = h(1) = 0."""
     arr = np.asarray(a, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError(f"binary_entropy argument must be in [0, 1], got {a!r}")
     result = _entropy_kernel(arr)
     return float(result) if np.ndim(a) == 0 else result
@@ -213,7 +214,8 @@ def gain_bounds(q_aa_m0: float, q_aa_m1: float, q_00_m0: float, q_00_m1: float,
     """Cauchy-inequality bounds on the superposition-mode gains.
 
     Built from the observed decoy-sequence gains; the upper bound is clamped
-    to 1 and the lower bound to 0.
+    to 1 and the lower bound to 0.  Raises ParameterError where mu is so
+    large that the bound is not finite.
     """
     for name, value in (("q_aa_m0", q_aa_m0), ("q_aa_m1", q_aa_m1),
                         ("q_00_m0", q_00_m0), ("q_00_m1", q_00_m1)):
@@ -222,6 +224,8 @@ def gain_bounds(q_aa_m0: float, q_aa_m1: float, q_00_m0: float, q_00_m1: float,
     if not mu > 0.0:
         raise ValueError(f"mu must be > 0, got {mu!r}")
     upper, lower = _bounds_kernel(q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu)
+    if not (math.isfinite(upper) and math.isfinite(lower)):
+        raise ParameterError(f"mu={mu!r} is too large: exp(mu) overflows the Cauchy bound")
     return BoundPair(Q_0x_M1_upper=float(upper), Q_0x_M0_lower=float(lower))
 
 

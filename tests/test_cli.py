@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +153,29 @@ def test_scan_row_values_serialized_at_nine_digits(tmp_path):
     assert fields[8] == format(point.R, ".9g")
 
 
+# Reference CSVs written by these argv at commit 3d010c0, before the lookahead
+# golden-section search; the scan output must not change by a byte.
+GOLDEN_SCANS = {
+    "scan_passive_cow.csv": ["--variant", "passive", "--protocol", "cow", "--L", "0:150:5"],
+    "scan_passive_nonclassical.csv": ["--variant", "passive", "--protocol", "nonclassical",
+                                      "--L", "0:150:5"],
+    "scan_active_cow.csv": ["--variant", "active", "--protocol", "cow", "--L", "0:150:5"],
+    "scan_active_nonclassical.csv": ["--variant", "active", "--protocol", "nonclassical",
+                                     "--L", "0:150:5"],
+    "scan_criterion9.csv": ["--pd", "1e-8", "--eta-d", "0.8", "--f", "1.1", "--ea", "0.02",
+                            "--variant", "passive", "--L", "0:100:20"],
+    "scan_active_high_dark.csv": ["--pd", "1e-7", "--eta-d", "0.99", "--ea", "0.01",
+                                  "--variant", "active", "--L", "0:120:1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_scan_matches_reference_csv_bytes(name, tmp_path):
+    out = tmp_path / name
+    assert main(["scan", *GOLDEN_SCANS[name], "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # point and optimize
 # ---------------------------------------------------------------------------
@@ -185,6 +209,19 @@ def test_point_rejects_zero_mu(capsys):
     code, _, err = run_cli(capsys, "point", "--L", "50", "--mu", "0", "--tb", "0.5")
     assert code == EXIT_CONFIG
     assert "mu" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mu_that_overflows_the_bound_is_a_config_error(capsys):
+    for argv in (["point", "--L", "50", "--mu", "800", "--tb", "0.5"],
+                 ["scan", "--L", "50", "--mu", "1000"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG, argv
+        assert "mu" in err and "nan" not in err.lower(), err
+    # where the bound stays finite, a huge mu is a zero rate, not an error
+    code, out, _ = run_cli(capsys, "point", "--L", "50", "--mu", "720", "--tb", "0.5")
+    assert code == EXIT_OK
+    assert parse_report(out)["R"] == "0.0"
 
 
 def test_point_requires_mu_and_tb(capsys):

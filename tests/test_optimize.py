@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cowqkd.optimize as optimize
 from cowqkd import ParameterError, Protocol, ScanConfig, evaluate_point, optimize_point, scan
-from cowqkd.optimize import FLAG_NO_POSITIVE_RATE, _objective_surface
+from cowqkd.optimize import _LOOKAHEAD, FLAG_NO_POSITIVE_RATE, _golden_max, _objective_surface
 from cowqkd.params import total_transmittance
 from conftest import make_params
 
@@ -133,6 +134,20 @@ def test_refinement_improves_or_preserves_grid_value():
     assert refined.R >= coarse.R
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_grid_cells_never_win_the_incumbent():
+    # above mu ~ 750, exp(mu) overflows and the bound gives NaN on part of the grid
+    base = make_params()
+    config = reference_config(mu_max=1000.0)
+    assert np.isnan(_objective_surface(
+        base, total_transmittance(base), config.mu_grid()[:, None], config.tb_grid()[None, :],
+        config.protocol)).any()
+    [point] = scan(base, config)
+    assert point.L_km == 50.0 and point.flag == ""
+    assert math.isfinite(point.R) and point.R > 0.0
+    assert point.mu_opt < 1.0
+
+
 def test_scan_config_validation():
     with pytest.raises(ParameterError):
         ScanConfig(L_values=())
@@ -247,3 +262,73 @@ def test_scan_memory_is_per_distance():
         tracemalloc.stop()
     # one 60 x 49 surface and its temporaries at a time, never one per distance
     assert peak < 4e6
+
+
+def _recorded(f):
+    """f, plus the list of the arguments it was called with."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.array(x))
+        return f(x)
+    return wrapped, calls
+
+
+def test_lookahead_probes_match_scalar_search():
+    rng = np.random.default_rng(8)
+    n = 24
+    lo = rng.uniform(-2.0, 1.0, n)
+    hi = lo + rng.uniform(1e-3, 3.0, n)
+    centre = rng.uniform(-2.5, 4.5, n)
+    step = rng.uniform(-1.5, 3.0, n)
+    objectives = {
+        "smooth": lambda x, c, s: -(x - c) * (x - c),
+        "constant": lambda x, c, s: np.zeros_like(x),
+        "step": lambda x, c, s: np.where(x > s, 1.0, 0.0),
+        "nan": lambda x, c, s: np.where(x > s, np.nan, -(x - c) * (x - c)),
+    }
+    for name, g in objectives.items():
+        for iters in (0, 1, 2, 3, 4, 5, 7, 48):
+            f, calls = _recorded(lambda x: g(x, centre, step))
+            x_best, f_best = _golden_max(f, lo, hi, iters)
+            # the first two probes, then one call per block of up to _LOOKAHEAD
+            # steps, on every node of the block's decision tree
+            depths = [min(_LOOKAHEAD, iters - s) for s in range(0, iters, _LOOKAHEAD)]
+            assert [call.shape for call in calls] == [(2, n)] + [(2 ** d - 1, n) for d in depths]
+            for k in range(n):
+                f_k, scalar_calls = _recorded(lambda x: g(x, centre[k], step[k]))
+                x_k, f_k_best = _golden_max_scalar(f_k, float(lo[k]), float(hi[k]), iters)
+                probes = [float(x) for x in scalar_calls]
+                assert len(probes) == 2 + iters
+                # the steps of each block probe points of that block's call
+                blocks = [probes[:2]] + [probes[2 + _LOOKAHEAD * b:2 + _LOOKAHEAD * (b + 1)]
+                                         for b in range(len(calls) - 1)]
+                for block, call in zip(blocks, calls):
+                    assert set(block) <= set(call[:, k].tolist()), (name, iters, k)
+                assert x_best[k] == x_k, (name, iters, k)
+                assert f_best[k] == f_k_best or (np.isnan(f_best[k]) and np.isnan(f_k_best))
+
+
+def test_scan_objective_call_budget(monkeypatch):
+    calls = []
+    surface = optimize._objective_surface
+
+    def counted(*args):
+        calls.append(None)
+        return surface(*args)
+    monkeypatch.setattr(optimize, "_objective_surface", counted)
+    distances = tuple(float(L) for L in range(0, 151, 5))
+    # objective calls per 48-step golden-section pass: the first two probes,
+    # then one call per four steps (one call per step would be 49)
+    passes = 13
+    cases = [("passive", {}, 6), ("active", {}, 2)]
+    for variant in ("passive", "active"):
+        cases += [(variant, {"mu_fixed": 0.004, "refine_iters": 5}, 1),
+                  (variant, {"tb_fixed": 0.37, "refine_iters": 5}, 1)]
+    for variant, overrides, n_passes in cases:
+        for protocol in Protocol:
+            calls.clear()
+            scan(make_params(variant=variant),
+                 reference_config(L_values=distances, protocol=protocol, **overrides))
+            # one grid call per distance, then at most n_passes refinement passes
+            assert len(calls) <= len(distances) + n_passes * passes, (variant, overrides)

@@ -68,6 +68,8 @@ def test_entropy_rejects_out_of_domain():
         binary_entropy(-0.01)
     with pytest.raises(ValueError):
         binary_entropy(1.01)
+    with pytest.raises(ValueError):
+        binary_entropy(math.nan)
 
 
 # ---------------------------------------------------------------------------
