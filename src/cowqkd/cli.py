@@ -8,6 +8,7 @@ identical across runs for identical configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -375,6 +376,7 @@ def _add_parameter_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (default: stdout)")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so it is built once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cowqkd",

@@ -28,11 +28,12 @@ optimizer's grid path and the scalar API produce bit-identical numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams, Variant, total_transmittance
+from .params import ParameterError, SystemParams, Variant, total_transmittance
 
 __all__ = [
     "GainSet",
@@ -120,6 +121,13 @@ def _routed(kernel, mu, t_b, eta, p_d, active):
     return gains / spectators
 
 
+def _routed_floats(kernel, params: SystemParams):
+    """A monitoring kernel's unmixed, routed gains at params, as Python floats."""
+    gains = _routed(kernel, params.mu, params.t_B, total_transmittance(params), params.p_d,
+                    params.variant is Variant.ACTIVE)
+    return tuple(map(float, gains)) if isinstance(gains, tuple) else float(gains)
+
+
 def two_detector_squash(intensity_a, intensity_b, p_d):
     """Click probabilities of a two-detector stage with random double-click assignment.
 
@@ -160,8 +168,29 @@ def _mix_pair(m0, m1, e_a):
 # ---------------------------------------------------------------------------
 
 def _check_probability(name: str, value: float) -> None:
-    if not (0.0 <= value <= 1.0) or not np.isfinite(value):
+    if not (0.0 <= value <= 1.0):  # also false for NaN and +-inf
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
+
+
+def _check_gain_fields(gains) -> None:
+    """Each field, in declaration order, must be a probability; the Q_0x pair may be None."""
+    for name in gains.__dataclass_fields__:
+        value = getattr(gains, name)
+        if value is not None or name not in ("Q_0x_M0", "Q_0x_M1"):
+            _check_probability(name, value)
+
+
+def _check_ideal(gains, mu: float) -> None:
+    """Validate unmixed gains in order; overflow at huge mu is a ParameterError."""
+    for name, value in gains:
+        if not math.isfinite(value):
+            raise ParameterError(f"mu={mu!r} is too large: exp(mu) overflows the gain {name}")
+        _check_probability(name, value)
+
+
+def _check_misalignment(e_a: float) -> None:
+    if not (0.0 <= e_a < 0.5):
+        raise ValueError(f"e_a must be in [0, 0.5), got {e_a!r}")
 
 
 @dataclass(frozen=True)
@@ -179,14 +208,7 @@ class MonitoringGains:
     Q_0x_M0: float | None = None
     Q_0x_M1: float | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("Q_0z_M0", "Q_0z_M1", "Q_1z_M0", "Q_1z_M1",
-                     "Q_aa_M0", "Q_aa_M1", "Q_00_M0", "Q_00_M1"):
-            _check_probability(name, getattr(self, name))
-        for name in ("Q_0x_M0", "Q_0x_M1"):
-            value = getattr(self, name)
-            if value is not None:
-                _check_probability(name, value)
+    __post_init__ = _check_gain_fields
 
 
 @dataclass(frozen=True)
@@ -212,15 +234,7 @@ class GainSet:
     Q_0x_M0: float | None = None
     Q_0x_M1: float | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("Q_0z_T0", "Q_0z_T1", "Q_1z_T0", "Q_1z_T1",
-                     "Q_0z_M0", "Q_0z_M1", "Q_1z_M0", "Q_1z_M1",
-                     "Q_aa_M0", "Q_aa_M1", "Q_00_M0", "Q_00_M1"):
-            _check_probability(name, getattr(self, name))
-        for name in ("Q_0x_M0", "Q_0x_M1"):
-            value = getattr(self, name)
-            if value is not None:
-                _check_probability(name, value)
+    __post_init__ = _check_gain_fields
 
 
 def monitoring_gains_ideal(params: SystemParams) -> MonitoringGains:
@@ -230,18 +244,11 @@ def monitoring_gains_ideal(params: SystemParams) -> MonitoringGains:
     (channel times detector efficiency).  The logic-sequence gains are equal
     on both ports by symmetry of a single non-empty pulse.
     """
-    eta = total_transmittance(params)
-    active = params.variant is Variant.ACTIVE
-    q_logic = float(
-        _routed(_logic_monitoring_gain, params.mu, params.t_B, eta, params.p_d, active)
-    )
-    q_aa_m0, q_aa_m1, q_00 = _routed(
-        _decoy_monitoring_gains, params.mu, params.t_B, eta, params.p_d, active
-    )
+    q_logic = _routed_floats(_logic_monitoring_gain, params)
+    q_aa_m0, q_aa_m1, q_00 = _routed_floats(_decoy_monitoring_gains, params)
     return MonitoringGains(
         Q_0z_M0=q_logic, Q_0z_M1=q_logic, Q_1z_M0=q_logic, Q_1z_M1=q_logic,
-        Q_aa_M0=float(q_aa_m0), Q_aa_M1=float(q_aa_m1),
-        Q_00_M0=float(q_00), Q_00_M1=float(q_00),
+        Q_aa_M0=q_aa_m0, Q_aa_M1=q_aa_m1, Q_00_M0=q_00, Q_00_M1=q_00,
     )
 
 
@@ -250,10 +257,7 @@ def nonclassical_gains_ideal(params: SystemParams) -> tuple[float, float]:
 
     The active variant routes the whole pulse, like its logic and decoy gains.
     """
-    eta = total_transmittance(params)
-    q_m0, q_m1 = _routed(_nonclassical_monitoring_gains, params.mu, params.t_B, eta,
-                         params.p_d, params.variant is Variant.ACTIVE)
-    return float(q_m0), float(q_m1)
+    return _routed_floats(_nonclassical_monitoring_gains, params)
 
 
 def apply_misalignment(gains: MonitoringGains, e_a: float) -> MonitoringGains:
@@ -261,22 +265,14 @@ def apply_misalignment(gains: MonitoringGains, e_a: float) -> MonitoringGains:
 
     The mixing conserves each pair sum and is the identity at e_a = 0.
     """
-    if not (0.0 <= e_a < 0.5):
-        raise ValueError(f"e_a must be in [0, 0.5), got {e_a!r}")
-    q0z = _mix_pair(gains.Q_0z_M0, gains.Q_0z_M1, e_a)
-    q1z = _mix_pair(gains.Q_1z_M0, gains.Q_1z_M1, e_a)
-    qaa = _mix_pair(gains.Q_aa_M0, gains.Q_aa_M1, e_a)
-    q00 = _mix_pair(gains.Q_00_M0, gains.Q_00_M1, e_a)
-    q0x: tuple[float | None, float | None] = (None, None)
-    if gains.Q_0x_M0 is not None and gains.Q_0x_M1 is not None:
-        q0x = _mix_pair(gains.Q_0x_M0, gains.Q_0x_M1, e_a)
-    return MonitoringGains(
-        Q_0z_M0=q0z[0], Q_0z_M1=q0z[1],
-        Q_1z_M0=q1z[0], Q_1z_M1=q1z[1],
-        Q_aa_M0=qaa[0], Q_aa_M1=qaa[1],
-        Q_00_M0=q00[0], Q_00_M1=q00[1],
-        Q_0x_M0=q0x[0], Q_0x_M1=q0x[1],
-    )
+    _check_misalignment(e_a)
+    mixed = {}
+    for m0 in ("Q_0z_M0", "Q_1z_M0", "Q_aa_M0", "Q_00_M0", "Q_0x_M0"):
+        m1 = m0[:-1] + "1"
+        pair = getattr(gains, m0), getattr(gains, m1)
+        if None not in pair:  # only the optional Q_0x pair can be None
+            mixed[m0], mixed[m1] = _mix_pair(*pair, e_a)
+    return MonitoringGains(**mixed)
 
 
 def data_line_gains(params: SystemParams) -> tuple[float, float, float, float]:
@@ -293,25 +289,32 @@ def full_gain_set(params: SystemParams, include_nonclassical: bool = True) -> Ga
     """Assemble the complete GainSet at the given operating point.
 
     Monitoring gains are the ideal closed forms with misalignment mixing
-    applied; data-line gains carry the wrong-slot leakage directly.
+    applied; data-line gains carry the wrong-slot leakage directly.  Each
+    kernel runs once.  Validated in order: the unmixed logic and decoy gains,
+    then the unmixed Q_0x pair (a non-finite one, from exp(mu) overflowing, is
+    a ParameterError naming mu); e_a; then the GainSet, i.e. the data-line and
+    the mixed monitoring gains.  Mixing can pull a gain above 1 back under it,
+    so the unmixed checks are kept.
     """
-    mon = monitoring_gains_ideal(params)
+    mu, e_a = params.mu, params.e_a
+    q_logic = _routed_floats(_logic_monitoring_gain, params)
+    q_aa_m0, q_aa_m1, q_00 = _routed_floats(_decoy_monitoring_gains, params)
+    _check_ideal((("Q_0z_M0", q_logic), ("Q_aa_M0", q_aa_m0), ("Q_aa_M1", q_aa_m1),
+                  ("Q_00_M0", q_00)), mu)
+    q_0x: tuple[float | None, float | None] = (None, None)
     if include_nonclassical:
-        q0x_m0, q0x_m1 = nonclassical_gains_ideal(params)
-        mon = MonitoringGains(
-            Q_0z_M0=mon.Q_0z_M0, Q_0z_M1=mon.Q_0z_M1,
-            Q_1z_M0=mon.Q_1z_M0, Q_1z_M1=mon.Q_1z_M1,
-            Q_aa_M0=mon.Q_aa_M0, Q_aa_M1=mon.Q_aa_M1,
-            Q_00_M0=mon.Q_00_M0, Q_00_M1=mon.Q_00_M1,
-            Q_0x_M0=q0x_m0, Q_0x_M1=q0x_m1,
-        )
-    mon = apply_misalignment(mon, params.e_a)
-    t0, t1, t2, t3 = data_line_gains(params)
+        q_0x = nonclassical_gains_ideal(params)
+        _check_ideal(zip(("Q_0x_M0", "Q_0x_M1"), q_0x), mu)
+    _check_misalignment(e_a)
+    q_z_m0, q_z_m1 = _mix_pair(q_logic, q_logic, e_a)
+    q_aa_m0, q_aa_m1 = _mix_pair(q_aa_m0, q_aa_m1, e_a)
+    q_00_m0, q_00_m1 = _mix_pair(q_00, q_00, e_a)
+    if include_nonclassical:
+        q_0x = _mix_pair(*q_0x, e_a)
+    q_correct, q_wrong, _, _ = data_line_gains(params)
     return GainSet(
-        Q_0z_T0=t0, Q_0z_T1=t1, Q_1z_T0=t2, Q_1z_T1=t3,
-        Q_0z_M0=mon.Q_0z_M0, Q_0z_M1=mon.Q_0z_M1,
-        Q_1z_M0=mon.Q_1z_M0, Q_1z_M1=mon.Q_1z_M1,
-        Q_aa_M0=mon.Q_aa_M0, Q_aa_M1=mon.Q_aa_M1,
-        Q_00_M0=mon.Q_00_M0, Q_00_M1=mon.Q_00_M1,
-        Q_0x_M0=mon.Q_0x_M0, Q_0x_M1=mon.Q_0x_M1,
+        Q_0z_T0=q_correct, Q_0z_T1=q_wrong, Q_1z_T0=q_wrong, Q_1z_T1=q_correct,
+        Q_0z_M0=q_z_m0, Q_0z_M1=q_z_m1, Q_1z_M0=q_z_m0, Q_1z_M1=q_z_m1,
+        Q_aa_M0=q_aa_m0, Q_aa_M1=q_aa_m1, Q_00_M0=q_00_m0, Q_00_M1=q_00_m1,
+        Q_0x_M0=q_0x[0], Q_0x_M1=q_0x[1],
     )

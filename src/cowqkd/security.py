@@ -235,52 +235,46 @@ def _require_monitoring(gains: GainSet) -> None:
         raise NoMonitoringDetectionError("all logic-sequence monitoring gains are zero")
 
 
+def _phase_error(gains: GainSet, bounds: BoundPair, mu: float):
+    _require_monitoring(gains)
+    return _phase_error_kernel(
+        gains.Q_0z_M0, gains.Q_0z_M1, gains.Q_1z_M0, gains.Q_1z_M1,
+        bounds.Q_0x_M1_upper, bounds.Q_0x_M0_lower, mu,
+    )
+
+
 def phase_error_upper(gains: GainSet, bounds: BoundPair, mu: float) -> float:
     """Phase-error upper bound, clamped to [0, 0.5].
 
     A pre-clamp value above 0.5 means the bound is trivial and the key rate
     is zero; the raw value is available via :func:`phase_error_upper_raw`.
     """
-    _require_monitoring(gains)
-    _, clamped = _phase_error_kernel(
-        gains.Q_0z_M0, gains.Q_0z_M1, gains.Q_1z_M0, gains.Q_1z_M1,
-        bounds.Q_0x_M1_upper, bounds.Q_0x_M0_lower, mu,
-    )
-    return float(clamped)
+    return float(_phase_error(gains, bounds, mu)[1])
 
 
 def phase_error_upper_raw(gains: GainSet, bounds: BoundPair, mu: float) -> float:
     """Pre-clamp value of :func:`phase_error_upper` (diagnostic)."""
+    return float(_phase_error(gains, bounds, mu)[0])
+
+
+def _bit_error_x(gains: GainSet, mu: float):
+    if gains.Q_0x_M0 is None or gains.Q_0x_M1 is None:
+        raise ValueError("GainSet carries no Q_0x gains")
     _require_monitoring(gains)
-    raw, _ = _phase_error_kernel(
+    return _bit_error_x_kernel(
         gains.Q_0z_M0, gains.Q_0z_M1, gains.Q_1z_M0, gains.Q_1z_M1,
-        bounds.Q_0x_M1_upper, bounds.Q_0x_M0_lower, mu,
+        gains.Q_0x_M0, gains.Q_0x_M1, mu,
     )
-    return float(raw)
 
 
 def bit_error_x(gains: GainSet, mu: float) -> float:
     """X-basis bit error rate from the true superposition-mode gains, in [0, 1]."""
-    if gains.Q_0x_M0 is None or gains.Q_0x_M1 is None:
-        raise ValueError("GainSet carries no Q_0x gains")
-    _require_monitoring(gains)
-    _, clamped = _bit_error_x_kernel(
-        gains.Q_0z_M0, gains.Q_0z_M1, gains.Q_1z_M0, gains.Q_1z_M1,
-        gains.Q_0x_M0, gains.Q_0x_M1, mu,
-    )
-    return float(clamped)
+    return float(_bit_error_x(gains, mu)[1])
 
 
 def bit_error_x_raw(gains: GainSet, mu: float) -> float:
     """Pre-clamp value of :func:`bit_error_x` (diagnostic)."""
-    if gains.Q_0x_M0 is None or gains.Q_0x_M1 is None:
-        raise ValueError("GainSet carries no Q_0x gains")
-    _require_monitoring(gains)
-    raw, _ = _bit_error_x_kernel(
-        gains.Q_0z_M0, gains.Q_0z_M1, gains.Q_1z_M0, gains.Q_1z_M1,
-        gains.Q_0x_M0, gains.Q_0x_M1, mu,
-    )
-    return float(raw)
+    return float(_bit_error_x(gains, mu)[0])
 
 
 def error_rates(gains: GainSet, bounds: BoundPair, mu: float) -> ErrorRates:

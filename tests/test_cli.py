@@ -213,11 +213,13 @@ def test_point_rejects_zero_mu(capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mu_that_overflows_the_bound_is_a_config_error(capsys):
+    # the Cauchy bound overflows, then (scan at 1000, point at 1e4) the gain kernels
     for argv in (["point", "--L", "50", "--mu", "800", "--tb", "0.5"],
-                 ["scan", "--L", "50", "--mu", "1000"]):
+                 ["scan", "--L", "50", "--mu", "1000"],
+                 ["point", "--L", "50", "--mu", "1e4", "--tb", "0.01"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG, argv
-        assert "mu" in err and "nan" not in err.lower(), err
+        assert "mu=" in err and "nan" not in err.lower() and "inf" not in err.lower(), err
     # where the bound stays finite, a huge mu is a zero rate, not an error
     code, out, _ = run_cli(capsys, "point", "--L", "50", "--mu", "720", "--tb", "0.5")
     assert code == EXIT_OK

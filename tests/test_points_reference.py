@@ -39,6 +39,8 @@ CLI_ARGV = (
      "--ea", "0.01", "--variant", "active"],
     ["point", "--L", "0", "--mu", "0.5", "--tb", "0.9", "--ea", "0.02"],
     ["point", "--L", "7.26", "--mu", "9.43", "--tb", "0.016", "--ea", "0.01"],
+    # the unmixed Q_aa_M0 is 1.00028 (rejected); mixed at e_a = 0.05 it would be 0.95
+    ["point", "--L", "20", "--mu", "5", "--tb", "0.016", "--ea", "0.05"],
     ["point", "--L", "50", "--mu", "800", "--tb", "0.5"],
     ["optimize", "--L", "50"],
     ["optimize", "--L", "60", "--variant", "active", "--protocol", "nonclassical",
