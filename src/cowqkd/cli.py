@@ -100,6 +100,8 @@ def parse_distance_range(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError
     except ValueError:
         raise ConfigError(f"bad distance range {text!r}; expected start:stop:step") from None
     if step <= 0:
@@ -136,7 +138,7 @@ def _coerce(key: str, value):
             return float(value)
         if key in _INT_KEYS:
             return int(float(value))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"bad value for {key!r}: {value!r}") from None
     return value
 

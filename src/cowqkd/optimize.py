@@ -86,16 +86,22 @@ class ScanConfig:
             object.__setattr__(self, "protocol", Protocol(self.protocol.lower()))
         if len(self.L_values) == 0:
             raise ParameterError("L_values must be nonempty")
+        if not all(map(math.isfinite, self.L_values)):
+            raise ParameterError(f"distances must be finite, got {self.L_values!r}")
         if any(L < 0 for L in self.L_values):
             raise ParameterError("distances must be >= 0")
         if not (0.0 < self.mu_min < self.mu_max):
             raise ParameterError("mu range must satisfy 0 < mu_min < mu_max")
+        if not math.isfinite(self.mu_max):
+            raise ParameterError(f"mu_max must be finite, got {self.mu_max!r}")
         if not (0.0 < self.tb_min < self.tb_max < 1.0):
             raise ParameterError("t_B range must satisfy 0 < tb_min < tb_max < 1")
         if self.n_mu < 2 or self.n_tb < 2:
             raise ParameterError("grid sizes must be >= 2")
         if self.refine_iters < 0:
             raise ParameterError("refine_iters must be >= 0")
+        if self.mu_fixed is not None and not math.isfinite(self.mu_fixed):
+            raise ParameterError(f"mu_fixed must be finite, got {self.mu_fixed!r}")
         if self.mu_fixed is not None and not self.mu_fixed > 0:
             raise ParameterError("mu_fixed must be > 0")
         if self.tb_fixed is not None and not (0.0 < self.tb_fixed < 1.0):

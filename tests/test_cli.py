@@ -44,7 +44,8 @@ def test_distance_range_inclusive_when_step_divides():
 
 
 def test_distance_range_rejects_bad_input():
-    for text in ("10:0:5", "0:10:0", "0:10:-1", "a:b:c", "1:2:3:4"):
+    for text in ("10:0:5", "0:10:0", "0:10:-1", "a:b:c", "1:2:3:4",
+                 "0:inf:5", "0:nan:5", "0:10:inf", "nan:10:5", "-inf:0:5"):
         with pytest.raises(ConfigError):
             parse_distance_range(text)
 
@@ -224,6 +225,21 @@ def test_mu_that_overflows_the_bound_is_a_config_error(capsys):
     code, out, _ = run_cli(capsys, "point", "--L", "50", "--mu", "720", "--tb", "0.5")
     assert code == EXIT_OK
     assert parse_report(out)["R"] == "0.0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--L", "0:inf:5"],
+    ["scan", "--L", "0:nan:5"],
+    ["scan", "--L", "0:10:inf"],
+    ["scan", "--L", "nan"],
+    ["verify", "--samples", "inf"],
+    ["verify", "--samples", "1e400"],
+])
+def test_non_finite_input_is_a_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err, err
+    assert "integer" not in err and "got nan" not in err, err
 
 
 def test_point_requires_mu_and_tb(capsys):

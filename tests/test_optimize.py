@@ -161,6 +161,13 @@ def test_scan_config_validation():
         ScanConfig(L_values=(-5.0,))
     with pytest.raises(ParameterError):
         ScanConfig(L_values=(10.0,), mu_fixed=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            ScanConfig(L_values=(10.0, bad))
+        with pytest.raises(ParameterError, match="finite"):
+            ScanConfig(L_values=(10.0,), mu_fixed=bad)
+    with pytest.raises(ParameterError, match="finite"):
+        ScanConfig(L_values=(10.0,), mu_max=math.inf)
 
 
 def test_rate_point_fields_populated():

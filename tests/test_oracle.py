@@ -1,6 +1,9 @@
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,13 @@ from cowqkd import (
     total_transmittance,
 )
 from cowqkd.gains import two_detector_squash
-from cowqkd.oracle import OracleEstimate, _squash_counts, model_monitoring_gains
+from cowqkd.oracle import (
+    _TAIL_4SIGMA,
+    OracleEstimate,
+    _four_sigma_check,
+    _squash_counts,
+    model_monitoring_gains,
+)
 from conftest import make_params
 
 
@@ -287,3 +296,57 @@ def test_gate_z_scores_are_standard_normal_across_seeds():
     assert len(z) > 3000
     assert abs(np.mean(z)) <= 0.08
     assert 0.94 <= np.std(z) <= 1.06
+
+
+# ---------------------------------------------------------------------------
+# the small-count 4-sigma gate and its deferred scipy.stats import
+# ---------------------------------------------------------------------------
+
+def test_gate_tail_mass_is_scipys_normal_tail():
+    from scipy.stats import norm
+
+    assert _TAIL_4SIGMA == float(norm.cdf(-4.0))
+
+
+def test_small_count_gate_matches_scipy_poisson_quantiles():
+    from scipy.stats import poisson
+
+    n = 1_000_000
+    for target in np.geomspace(0.01, 24.0, 80):
+        expected = target / n
+        mean = n * expected
+        assert mean * (1.0 - expected) < 25.0
+        lo = poisson.ppf(_TAIL_4SIGMA, mean)
+        hi = poisson.ppf(1.0 - _TAIL_4SIGMA, mean)
+        for count in {max(int(lo) - 1, 0), int(lo), int(hi), int(hi) + 1}:
+            check = _four_sigma_check("Q", count, n, expected)
+            assert check.passed == (lo <= count <= hi), (mean, count, lo, hi)
+
+
+COLD_START = """
+import contextlib
+import io
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import cowqkd
+from cowqkd import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["point", "--L", "50", "--mu", "0.1", "--tb", "0.5"],
+                 ["optimize", "--L", "50"],
+                 ["scan", "--L", "0:20:10"]):
+        assert cli.main(argv) == 0, argv
+print("scipy" in sys.modules, "scipy.stats" in sys.modules)
+cowqkd.run_verification(cowqkd.oracle.MIN_SAMPLES, seed=1)
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_scipy_stats_loads_only_for_the_oracle_gate():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(src)], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # scipy itself stays loaded: perfbench's environment line reads its version
+    assert done.stdout.splitlines() == ["True False", "True"]
