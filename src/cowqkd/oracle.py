@@ -14,13 +14,15 @@ Randomness comes from the counter-based Philox generator.  Every estimated
 sequence owns a keyed substream, so estimates are independent of evaluation
 order and of how many other quantities are sampled.
 
-SciPy supplies only the exact Poisson quantiles of the small-count 4-sigma
-gate, and ``scipy.stats`` is loaded the first time that gate runs, so
-importing cowqkd does not pay for it.
+The small-count 4-sigma gate takes exact Poisson quantiles from a pmf summed
+in log space with :mod:`math`, so no code path uses SciPy.  ``scipy`` is
+still imported, without any submodule, only because perfbench's environment
+line reads its version; it goes once that line tolerates its absence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -268,6 +270,31 @@ class VerificationReport:
         return [(case.label, c) for case in self.cases for c in case.checks if not c.passed]
 
 
+def _poisson_quantile(q: float, mean: float) -> int:
+    """Smallest k with P(X <= k) >= q for X ~ Poisson(mean), mean > 0.
+
+    Sums the pmf from 12 standard deviations (plus 12) below the mean, where
+    the skipped lower tail is far below the float resolution of q, so the
+    loop runs O(sqrt(mean)) terms.  Below k = 30 the log pmf is
+    k log(mean) - mean - lgamma(k + 1); from k = 30 on it takes the
+    saddle-point form with the Stirling remainder from its series, because
+    the plain form cancels catastrophically at large means.
+    """
+    k = max(0, math.floor(mean - 12.0 * math.sqrt(mean) - 12.0))
+    cdf = 0.0
+    while True:
+        if k < 30:
+            log_pmf = k * math.log(mean) - mean - math.lgamma(k + 1)
+        else:
+            stirlerr = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * k * k)) / (k * k)) / k
+            log_pmf = (-0.5 * math.log(2.0 * math.pi * k) - stirlerr
+                       - (k * math.log1p((k - mean) / mean) - (k - mean)))
+        cdf += math.exp(log_pmf)
+        if cdf >= q:
+            return k
+        k += 1
+
+
 def _four_sigma_check(name: str, count: int, n: int, expected: float) -> GainCheck:
     """Two-sided 4-sigma acceptance of a binomial count against a known rate.
 
@@ -283,10 +310,8 @@ def _four_sigma_check(name: str, count: int, n: int, expected: float) -> GainChe
     if mean * (1.0 - expected) >= 25.0:
         ok = abs(z) <= 4.0
     else:
-        from scipy.stats import poisson
-
-        lo = poisson.ppf(_TAIL_4SIGMA, mean)
-        hi = poisson.ppf(1.0 - _TAIL_4SIGMA, mean)
+        lo = _poisson_quantile(_TAIL_4SIGMA, mean)
+        hi = _poisson_quantile(1.0 - _TAIL_4SIGMA, mean)
         ok = lo <= count <= hi
     return GainCheck(name, estimate, expected, n, z_score=float(z), passed=bool(ok))
 
@@ -351,15 +376,9 @@ def run_verification(n_samples: int, seed: int,
             checks.append(_four_sigma_check(name, count, n_samples, expected_mon[name]))
 
         closed = apply_misalignment(monitoring_gains_ideal(params), params.e_a)
-        closed_map = {
-            "Q_0z_M0": closed.Q_0z_M0, "Q_0z_M1": closed.Q_0z_M1,
-            "Q_1z_M0": closed.Q_1z_M0, "Q_1z_M1": closed.Q_1z_M1,
-            "Q_aa_M0": closed.Q_aa_M0, "Q_aa_M1": closed.Q_aa_M1,
-            "Q_00_M0": closed.Q_00_M0, "Q_00_M1": closed.Q_00_M1,
-        }
         ratios = []
         for name, est in mon_est.items():
-            reference = closed_map[name]
+            reference = getattr(closed, name)
             ratio = est.estimate / reference if reference > 0.0 else float("nan")
             ratios.append(RatioEntry(name, est.estimate, reference, ratio))
 

@@ -314,8 +314,8 @@ def azuma_deviation(K: float, fail_prob: float) -> float:
     Arguments up to fail_prob < 2 are accepted so the inversion identity
     stays total; values >= 1 make the tail statement vacuous.
     """
-    if not K >= 1:
-        raise ValueError(f"K must be >= 1, got {K!r}")
+    if not 1 <= K < math.inf:
+        raise ValueError(f"K must be a finite number >= 1, got {K!r}")
     if not (0.0 < fail_prob < 2.0):
         raise ValueError(f"fail_prob must be in (0, 2), got {fail_prob!r}")
     return math.sqrt(2.0 * math.log(2.0 / fail_prob) / K)

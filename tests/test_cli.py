@@ -234,6 +234,7 @@ def test_mu_that_overflows_the_bound_is_a_config_error(capsys):
     ["scan", "--L", "nan"],
     ["verify", "--samples", "inf"],
     ["verify", "--samples", "1e400"],
+    ["finite-size", "--K", "inf", "--fail-prob", "0.1"],
 ])
 def test_non_finite_input_is_a_config_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -63,12 +63,21 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def test_traced_scan_run_ends_in_a_strict_json_result():
-    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "scan",
-                           "--seconds", "0.2", "--trace", "1"], cwd=ROOT, capture_output=True,
+def _assert_run_ends_in_a_strict_json_result(workload, trace):
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seconds", "0.2", "--trace", trace], cwd=ROOT, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1], parse_constant=_reject_constant)
     assert result["correct"] is True and result["failed"] == 0, result
     for name, metric in result["metrics"].items():
         assert math.isfinite(metric["value"]), (name, metric)
+
+
+def test_traced_scan_run_ends_in_a_strict_json_result():
+    _assert_run_ends_in_a_strict_json_result("scan", "1")
+
+
+def test_verify_run_ends_in_a_strict_json_result():
+    # verify's correct flag rests on the oracle's 4-sigma gate
+    _assert_run_ends_in_a_strict_json_result("verify", "0")

@@ -328,6 +328,8 @@ def test_azuma_input_validation():
     with pytest.raises(ValueError):
         azuma_deviation(0, 1e-9)
     with pytest.raises(ValueError):
+        azuma_deviation(math.inf, 1e-9)
+    with pytest.raises(ValueError):
         azuma_deviation(1e6, 0.0)
     with pytest.raises(ValueError):
         azuma_deviation(1e6, 2.0)
