@@ -13,22 +13,12 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .gains import full_gain_set
-from .optimize import Protocol, ScanConfig, optimize_point, scan
-from .params import ParameterError, SystemParams, channel_transmittance, total_transmittance
+import numpy as np
+
+from .optimize import Protocol, ScanConfig, _point_chain, optimize_point, scan
+from .params import ParameterError, SystemParams
 from .oracle import MIN_SAMPLES, VerificationReport, run_verification
-from .security import (
-    azuma_deviation,
-    bit_error_x,
-    bit_error_x_raw,
-    bit_error_z,
-    gain_bounds,
-    key_rate_cow,
-    key_rate_nonclassical,
-    phase_error_upper,
-    phase_error_upper_raw,
-    plob_bound,
-)
+from .security import azuma_deviation
 
 __all__ = ["main", "app", "RunConfig", "parse_distance_range", "parse_config_file"]
 
@@ -209,11 +199,6 @@ def _fmt9(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _plob_or_inf(params: SystemParams) -> float:
-    eta_ch = channel_transmittance(params)
-    return plob_bound(eta_ch) if eta_ch < 1.0 else math.inf
-
-
 def format_rate_point_csv(point) -> str:
     values = (point.L_km, point.eta_ch, point.eta_tot, point.mu_opt, point.tB_opt,
               point.Q_z, point.E_b, point.E_p_u, point.R, point.R_tilde, point.R_plob)
@@ -235,17 +220,11 @@ def _point_report_lines(params: SystemParams) -> list[str]:
     Values are printed with repr so they round-trip to the exact library
     results.
     """
-    gains = full_gain_set(params)
-    e_z, q_z = bit_error_z(gains)
-    bounds = gain_bounds(gains.Q_aa_M0, gains.Q_aa_M1, gains.Q_00_M0, gains.Q_00_M1, params.mu)
-    ep_raw = phase_error_upper_raw(gains, bounds, params.mu)
-    ep = phase_error_upper(gains, bounds, params.mu)
-    ex_raw = bit_error_x_raw(gains, params.mu)
-    ex = bit_error_x(gains, params.mu)
+    point, gains, bounds, ep_raw, ex_raw = _point_chain(params)
     lines = [
         f"L_km={params.L_km!r}",
-        f"eta_ch={channel_transmittance(params)!r}",
-        f"eta_tot={total_transmittance(params)!r}",
+        f"eta_ch={point.eta_ch!r}",
+        f"eta_tot={point.eta_tot!r}",
         f"mu={params.mu!r}",
         f"t_B={params.t_B!r}",
         f"variant={params.variant.value}",
@@ -258,16 +237,16 @@ def _point_report_lines(params: SystemParams) -> list[str]:
     lines += [
         f"Q_0x_M1_upper={bounds.Q_0x_M1_upper!r}",
         f"Q_0x_M0_lower={bounds.Q_0x_M0_lower!r}",
-        f"Qz={q_z!r}",
-        f"Eb={e_z!r}",
+        f"Qz={point.Q_z!r}",
+        f"Eb={point.E_b!r}",
         f"Ep_u_raw={ep_raw!r}",
-        f"Ep_u={ep!r}",
+        f"Ep_u={point.E_p_u!r}",
         f"bound_trivial={'true' if ep_raw > 0.5 else 'false'}",
         f"Ex_raw={ex_raw!r}",
-        f"Ex={ex!r}",
-        f"R={key_rate_cow(q_z, ep, e_z, params.f_ec)!r}",
-        f"R_tilde={key_rate_nonclassical(q_z, ex, e_z, params.f_ec)!r}",
-        f"R_plob={_plob_or_inf(params)!r}",
+        f"Ex={point.E_x!r}",
+        f"R={point.R!r}",
+        f"R_tilde={point.R_tilde!r}",
+        f"R_plob={point.R_plob!r}",
     ]
     return lines
 
@@ -432,7 +411,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = _resolve(args)
-        return _COMMANDS[args.cmd](cfg)
+        # An overflow at huge mu ends in a ParameterError; its numpy warnings
+        # would only repeat it.  Library calls keep numpy's default policy.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.cmd](cfg)
     except (ConfigError, ParameterError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -24,6 +24,9 @@ extension are documented here:
 
 All kernels accept scalars or numpy arrays and evaluate elementwise, so the
 optimizer's grid path and the scalar API produce bit-identical numbers.
+Scalars in give scalars out, never a 0-d array, whose per-call cost in numpy
+would dominate a single point; arrays broadcast.  Q_00 depends on p_d alone,
+so it stays a scalar on a (mu, t_B) grid.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def _decoy_monitoring_gains(mu, t_b, eta, p_d):
     )
     q_aa_m0 = (1.0 - p_d) ** 3 * bright_click * c5
     q_aa_m1 = p_d * (1.0 - p_d) ** 3 * bright * c5
-    q_00 = p_d * (1.0 - p_d) ** 3 * np.ones_like(np.asarray(bright, dtype=float))
+    q_00 = p_d * (1.0 - p_d) ** 3  # constant in mu, t_B and eta: broadcasts on a grid
     return q_aa_m0, q_aa_m1, q_00
 
 
@@ -88,19 +91,17 @@ def _nonclassical_monitoring_gains(mu, t_b, eta, p_d):
     cancel catastrophically.
     """
     half_pulse = (1.0 - t_b) * mu * eta / 2.0
-    c1 = (1.0 - p_d) * np.exp(-half_pulse)
+    e_half_pulse = np.exp(-half_pulse)
+    c1 = (1.0 - p_d) * e_half_pulse
     one_minus_c1 = _click_probability(half_pulse, p_d)
     b = (1.0 - t_b) * mu / 2.0
     c2 = np.exp(b * (1.0 - eta)) + np.exp(-b * (1.0 - eta))
     c3 = np.exp(-t_b * mu) * np.expm1(t_b * mu * (1.0 - eta))
     c4_minus_c2 = np.expm1(b * eta) * np.exp(-b) * np.expm1(b * (2.0 - eta))
-    n_plus = 2.0 * (1.0 + np.exp(-mu))
-    q_m0 = (2.0 / n_plus) * (1.0 - p_d) ** 3 * one_minus_c1 * (
-        np.exp(-(1.0 + t_b) * mu / 2.0) * c2 + np.exp(-half_pulse) * c3
-    )
-    q_m1 = (2.0 / n_plus) * (1.0 - p_d) ** 2 * c1 * (
-        np.exp(-(1.0 + t_b) * mu / 2.0) * (c4_minus_c2 + p_d * c2) + c3 * one_minus_c1
-    )
+    weight = 2.0 / (2.0 * (1.0 + np.exp(-mu)))  # 2 / N+
+    e_mean = np.exp(-(1.0 + t_b) * mu / 2.0)
+    q_m0 = weight * (1.0 - p_d) ** 3 * one_minus_c1 * (e_mean * c2 + e_half_pulse * c3)
+    q_m1 = weight * (1.0 - p_d) ** 2 * c1 * (e_mean * (c4_minus_c2 + p_d * c2) + c3 * one_minus_c1)
     return q_m0, q_m1
 
 
@@ -121,9 +122,10 @@ def _routed(kernel, mu, t_b, eta, p_d, active):
     return gains / spectators
 
 
-def _routed_floats(kernel, params: SystemParams):
-    """A monitoring kernel's unmixed, routed gains at params, as Python floats."""
-    gains = _routed(kernel, params.mu, params.t_B, total_transmittance(params), params.p_d,
+def _routed_floats(kernel, params: SystemParams, eta: float):
+    """A monitoring kernel's unmixed, routed gains at params (total transmittance
+    eta), as Python floats."""
+    gains = _routed(kernel, params.mu, params.t_B, eta, params.p_d,
                     params.variant is Variant.ACTIVE)
     return tuple(map(float, gains)) if isinstance(gains, tuple) else float(gains)
 
@@ -135,8 +137,8 @@ def two_detector_squash(intensity_a, intensity_b, p_d):
     mean photon number plus an independent dark count; a double click is
     assigned to either outcome with probability 1/2.
     """
-    p_a = _click_probability(np.asarray(intensity_a, dtype=float), p_d)
-    p_b = _click_probability(np.asarray(intensity_b, dtype=float), p_d)
+    p_a = _click_probability(intensity_a, p_d)
+    p_b = _click_probability(intensity_b, p_d)
     q_a = p_a * (1.0 - p_b) + 0.5 * p_a * p_b
     q_b = p_b * (1.0 - p_a) + 0.5 * p_a * p_b
     return q_a, q_b
@@ -174,8 +176,7 @@ def _check_probability(name: str, value: float) -> None:
 
 def _check_gain_fields(gains) -> None:
     """Each field, in declaration order, must be a probability; the Q_0x pair may be None."""
-    for name in gains.__dataclass_fields__:
-        value = getattr(gains, name)
+    for name, value in vars(gains).items():  # in declaration order
         if value is not None or name not in ("Q_0x_M0", "Q_0x_M1"):
             _check_probability(name, value)
 
@@ -244,8 +245,9 @@ def monitoring_gains_ideal(params: SystemParams) -> MonitoringGains:
     (channel times detector efficiency).  The logic-sequence gains are equal
     on both ports by symmetry of a single non-empty pulse.
     """
-    q_logic = _routed_floats(_logic_monitoring_gain, params)
-    q_aa_m0, q_aa_m1, q_00 = _routed_floats(_decoy_monitoring_gains, params)
+    eta = total_transmittance(params)
+    q_logic = _routed_floats(_logic_monitoring_gain, params, eta)
+    q_aa_m0, q_aa_m1, q_00 = _routed_floats(_decoy_monitoring_gains, params, eta)
     return MonitoringGains(
         Q_0z_M0=q_logic, Q_0z_M1=q_logic, Q_1z_M0=q_logic, Q_1z_M1=q_logic,
         Q_aa_M0=q_aa_m0, Q_aa_M1=q_aa_m1, Q_00_M0=q_00, Q_00_M1=q_00,
@@ -257,7 +259,7 @@ def nonclassical_gains_ideal(params: SystemParams) -> tuple[float, float]:
 
     The active variant routes the whole pulse, like its logic and decoy gains.
     """
-    return _routed_floats(_nonclassical_monitoring_gains, params)
+    return _routed_floats(_nonclassical_monitoring_gains, params, total_transmittance(params))
 
 
 def apply_misalignment(gains: MonitoringGains, e_a: float) -> MonitoringGains:
@@ -277,12 +279,15 @@ def apply_misalignment(gains: MonitoringGains, e_a: float) -> MonitoringGains:
 
 def data_line_gains(params: SystemParams) -> tuple[float, float, float, float]:
     """(Q_0z_T0, Q_0z_T1, Q_1z_T0, Q_1z_T1) of the arrival-time measurement."""
-    eta = total_transmittance(params)
+    q_correct, q_wrong = _data_line_floats(params, total_transmittance(params))
+    return q_correct, q_wrong, q_wrong, q_correct
+
+
+def _data_line_floats(params: SystemParams, eta: float) -> tuple[float, float]:
+    """(Q_correct, Q_wrong) at params (total transmittance eta) as Python floats."""
     q_correct, q_wrong = _data_line_pair(params.mu, params.t_B, eta, params.p_d, params.e_a,
                                          params.variant is Variant.ACTIVE)
-    q_correct = float(q_correct)
-    q_wrong = float(q_wrong)
-    return q_correct, q_wrong, q_wrong, q_correct
+    return float(q_correct), float(q_wrong)
 
 
 def full_gain_set(params: SystemParams, include_nonclassical: bool = True) -> GainSet:
@@ -290,20 +295,21 @@ def full_gain_set(params: SystemParams, include_nonclassical: bool = True) -> Ga
 
     Monitoring gains are the ideal closed forms with misalignment mixing
     applied; data-line gains carry the wrong-slot leakage directly.  Each
-    kernel runs once.  Validated in order: the unmixed logic and decoy gains,
-    then the unmixed Q_0x pair (a non-finite one, from exp(mu) overflowing, is
-    a ParameterError naming mu); e_a; then the GainSet, i.e. the data-line and
-    the mixed monitoring gains.  Mixing can pull a gain above 1 back under it,
-    so the unmixed checks are kept.
+    kernel runs once, at one total transmittance.  Validated in order: the
+    unmixed logic and decoy gains, then the unmixed Q_0x pair (a non-finite
+    one, from exp(mu) overflowing, is a ParameterError naming mu); e_a; then
+    the GainSet, i.e. the data-line and the mixed monitoring gains.  Mixing
+    can pull a gain above 1 back under it, so the unmixed checks are kept.
     """
     mu, e_a = params.mu, params.e_a
-    q_logic = _routed_floats(_logic_monitoring_gain, params)
-    q_aa_m0, q_aa_m1, q_00 = _routed_floats(_decoy_monitoring_gains, params)
+    eta = total_transmittance(params)
+    q_logic = _routed_floats(_logic_monitoring_gain, params, eta)
+    q_aa_m0, q_aa_m1, q_00 = _routed_floats(_decoy_monitoring_gains, params, eta)
     _check_ideal((("Q_0z_M0", q_logic), ("Q_aa_M0", q_aa_m0), ("Q_aa_M1", q_aa_m1),
                   ("Q_00_M0", q_00)), mu)
     q_0x: tuple[float | None, float | None] = (None, None)
     if include_nonclassical:
-        q_0x = nonclassical_gains_ideal(params)
+        q_0x = _routed_floats(_nonclassical_monitoring_gains, params, eta)
         _check_ideal(zip(("Q_0x_M0", "Q_0x_M1"), q_0x), mu)
     _check_misalignment(e_a)
     q_z_m0, q_z_m1 = _mix_pair(q_logic, q_logic, e_a)
@@ -311,7 +317,7 @@ def full_gain_set(params: SystemParams, include_nonclassical: bool = True) -> Ga
     q_00_m0, q_00_m1 = _mix_pair(q_00, q_00, e_a)
     if include_nonclassical:
         q_0x = _mix_pair(*q_0x, e_a)
-    q_correct, q_wrong, _, _ = data_line_gains(params)
+    q_correct, q_wrong = _data_line_floats(params, eta)
     return GainSet(
         Q_0z_T0=q_correct, Q_0z_T1=q_wrong, Q_1z_T0=q_wrong, Q_1z_T1=q_correct,
         Q_0z_M0=q_z_m0, Q_0z_M1=q_z_m1, Q_1z_M0=q_z_m0, Q_1z_M1=q_z_m1,

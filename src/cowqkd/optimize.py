@@ -33,14 +33,16 @@ from .security import (
     _bit_error_x_kernel,
     _bit_error_z_kernel,
     _bounds_kernel,
+    _entropy_kernel,
     _key_rate_kernel,
     _phase_error_kernel,
-    bit_error_x,
+    _require_monitoring,
+    bit_error_x,  # noqa: F401  unused; perfbench/tracing.py wraps it at this binding
     bit_error_z,
     gain_bounds,
-    key_rate_cow,  # noqa: F401  unused; perfbench/tracing.py wraps it at this binding
+    key_rate_cow,  # noqa: F401  likewise
     key_rate_nonclassical,  # noqa: F401  likewise
-    phase_error_upper,
+    phase_error_upper,  # noqa: F401  likewise
     plob_bound,
 )
 
@@ -148,37 +150,41 @@ def _objective_surface(base: SystemParams, eta, mu, t_b, protocol: Protocol):
         q_0x_m0, q_0x_m1 = _mix_pair(q_0x_m0, q_0x_m1, e_a)
         _, e_phase = _bit_error_x_kernel(q_0z_m0, q_0z_m1, q_1z_m0, q_1z_m1,
                                          q_0x_m0, q_0x_m1, mu)
-    return _key_rate_kernel(q_z, e_phase, e_z, f_ec)
+    return _key_rate_kernel(q_z, _entropy_kernel(e_phase), _entropy_kernel(e_z), f_ec)
+
+
+def _point_chain(params: SystemParams, protocol: Protocol = Protocol.COW):
+    """(RatePoint, GainSet, BoundPair, raw E_p_u, raw E_x) of one pass at params.
+
+    Each step runs once, and the checks run in the order of the public steps:
+    full_gain_set, bit_error_z, gain_bounds, then the monitoring denominator,
+    once for both error rates.  The raw rates are Python floats.
+    """
+    gains = full_gain_set(params)
+    e_z, q_z = bit_error_z(gains)
+    mu = params.mu
+    bounds = gain_bounds(gains.Q_aa_M0, gains.Q_aa_M1, gains.Q_00_M0, gains.Q_00_M1, mu)
+    _require_monitoring(gains)
+    logic = gains.Q_0z_M0, gains.Q_0z_M1, gains.Q_1z_M0, gains.Q_1z_M1
+    ep_raw, e_p_u = _phase_error_kernel(*logic, bounds.Q_0x_M1_upper, bounds.Q_0x_M0_lower, mu)
+    ex_raw, e_x = _bit_error_x_kernel(*logic, gains.Q_0x_M0, gains.Q_0x_M1, mu)
+    # One entropy call for the three error rates; both rates share h(E_b).
+    h = _entropy_kernel(np.array([e_p_u, e_x, e_z]))
+    r_cow, r_tilde = _key_rate_kernel(q_z, h[:2], h[2], params.f_ec).tolist()
+    objective = r_cow if protocol is Protocol.COW else r_tilde
+    eta_ch = channel_transmittance(params)
+    point = RatePoint(
+        L_km=params.L_km, eta_ch=eta_ch, eta_tot=total_transmittance(params), mu_opt=mu,
+        tB_opt=params.t_B, Q_z=q_z, E_b=e_z, E_p_u=float(e_p_u), E_x=float(e_x),
+        R=r_cow, R_tilde=r_tilde, R_plob=plob_bound(eta_ch) if eta_ch < 1.0 else math.inf,
+        flag="" if objective > 0.0 else FLAG_NO_POSITIVE_RATE,
+    )
+    return point, gains, bounds, float(ep_raw), float(ex_raw)
 
 
 def evaluate_point(params: SystemParams, protocol: Protocol = Protocol.COW) -> RatePoint:
     """Full pipeline at one fixed (mu, t_B): gains, error rates, and all rates."""
-    gains = full_gain_set(params)
-    e_z, q_z = bit_error_z(gains)
-    bounds = gain_bounds(gains.Q_aa_M0, gains.Q_aa_M1, gains.Q_00_M0, gains.Q_00_M1, params.mu)
-    e_p_u = phase_error_upper(gains, bounds, params.mu)
-    e_x = bit_error_x(gains, params.mu)
-    # One kernel call gives both rates and evaluates the shared h(E_b) once.
-    r_cow, r_tilde = (float(r) for r in
-                      _key_rate_kernel(q_z, np.array([e_p_u, e_x]), e_z, params.f_ec))
-    objective = r_cow if protocol is Protocol.COW else r_tilde
-    eta_ch = channel_transmittance(params)
-    r_plob = plob_bound(eta_ch) if eta_ch < 1.0 else math.inf
-    return RatePoint(
-        L_km=params.L_km,
-        eta_ch=eta_ch,
-        eta_tot=total_transmittance(params),
-        mu_opt=params.mu,
-        tB_opt=params.t_B,
-        Q_z=q_z,
-        E_b=e_z,
-        E_p_u=e_p_u,
-        E_x=e_x,
-        R=r_cow,
-        R_tilde=r_tilde,
-        R_plob=r_plob,
-        flag="" if objective > 0.0 else FLAG_NO_POSITIVE_RATE,
-    )
+    return _point_chain(params, protocol)[0]
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray,

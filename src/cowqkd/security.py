@@ -2,8 +2,9 @@
 
 All formulas are implemented once as elementwise kernels (scalar or ndarray)
 and exposed through scalar wrappers, so grid-based optimization and single
-point evaluation agree bit for bit.  Logarithms are base 2 throughout and
-rates are per transmitted pulse pair.
+point evaluation agree bit for bit.  As in ``gains``, scalars in give
+scalars out, never a 0-d array, and arrays broadcast.  Logarithms are base 2
+throughout and rates are per transmitted pulse pair.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "phase_error_upper",
     "phase_error_upper_raw",
     "bit_error_x",
-    "bit_error_x_raw",
     "key_rate_cow",
     "key_rate_nonclassical",
     "plob_bound",
@@ -117,33 +117,34 @@ class RatePoint:
 
 def _entropy_kernel(a):
     """Binary Shannon entropy with h(0) = h(1) = 0 by continuity; NaN stays NaN."""
-    a = np.asarray(a, dtype=float)
     edge = (a <= 0.0) | (a >= 1.0)
     safe = np.where(edge, 0.5, a)
     value = -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe)
-    return np.where(edge, 0.0, value)
+    return np.where(edge, 0.0, value)[()]  # [()] unwraps a 0-d result to a scalar
 
 
 def _n_plus(mu):
-    return 2.0 * (1.0 + np.exp(-np.asarray(mu, dtype=float)))
+    return 2.0 * (1.0 + np.exp(-mu))
 
 
 def _n_minus(mu):
-    return 2.0 * (1.0 - np.exp(-np.asarray(mu, dtype=float)))
+    return 2.0 * (1.0 - np.exp(-mu))
 
 
 def _bounds_kernel(q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu):
     """(upper on Q_0x_M1, lower on Q_0x_M0), clamped to [0, 1] and >= 0."""
-    mu = np.asarray(mu, dtype=float)
     n_plus = _n_plus(mu)
     n_minus = _n_minus(mu)
     e_plus_half = np.exp(mu / 2.0)
     e_minus_half = np.exp(-mu / 2.0)
     e_full = np.exp(mu)
-    upper = (1.0 / n_plus) * np.square(e_plus_half * np.sqrt(q_aa_m1) + e_minus_half * np.sqrt(q_00_m1)) \
-        + (n_minus / n_plus) * (e_full * n_minus / 4.0 + e_full * np.sqrt(q_aa_m1) + np.sqrt(q_00_m1))
-    lower = (1.0 / n_plus) * np.square(e_plus_half * np.sqrt(q_aa_m0) - e_minus_half * np.sqrt(q_00_m0)) \
-        - (n_minus / n_plus) * (e_full * np.sqrt(q_aa_m0) + np.sqrt(q_00_m0))
+    inv_n_plus, ratio = 1.0 / n_plus, n_minus / n_plus
+    r_aa_m0, r_aa_m1 = np.sqrt(q_aa_m0), np.sqrt(q_aa_m1)
+    r_00_m0, r_00_m1 = np.sqrt(q_00_m0), np.sqrt(q_00_m1)
+    upper = inv_n_plus * np.square(e_plus_half * r_aa_m1 + e_minus_half * r_00_m1) \
+        + ratio * (e_full * n_minus / 4.0 + e_full * r_aa_m1 + r_00_m1)
+    lower = inv_n_plus * np.square(e_plus_half * r_aa_m0 - e_minus_half * r_00_m0) \
+        - ratio * (e_full * r_aa_m0 + r_00_m0)
     return np.minimum(upper, 1.0), np.maximum(lower, 0.0)
 
 
@@ -179,8 +180,9 @@ def _bit_error_z_kernel(q_0z_t0, q_0z_t1, q_1z_t0, q_1z_t1):
     return (q_0z_t1 + q_1z_t0) / total, total / 2.0
 
 
-def _key_rate_kernel(q_z, e_phase, e_bit, f_ec):
-    return np.maximum(0.0, q_z * (1.0 - _entropy_kernel(e_phase) - f_ec * _entropy_kernel(e_bit)))
+def _key_rate_kernel(q_z, h_phase, h_bit, f_ec):
+    """max(0, Q_z (1 - h_phase - f_ec h_bit)) from the two binary entropies."""
+    return np.maximum(0.0, q_z * (1.0 - h_phase - f_ec * h_bit))
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +259,15 @@ def phase_error_upper_raw(gains: GainSet, bounds: BoundPair, mu: float) -> float
     return float(_phase_error(gains, bounds, mu)[0])
 
 
-def _bit_error_x(gains: GainSet, mu: float):
+def bit_error_x(gains: GainSet, mu: float) -> float:
+    """X-basis bit error rate from the true superposition-mode gains, in [0, 1]."""
     if gains.Q_0x_M0 is None or gains.Q_0x_M1 is None:
         raise ValueError("GainSet carries no Q_0x gains")
     _require_monitoring(gains)
-    return _bit_error_x_kernel(
+    return float(_bit_error_x_kernel(
         gains.Q_0z_M0, gains.Q_0z_M1, gains.Q_1z_M0, gains.Q_1z_M1,
         gains.Q_0x_M0, gains.Q_0x_M1, mu,
-    )
-
-
-def bit_error_x(gains: GainSet, mu: float) -> float:
-    """X-basis bit error rate from the true superposition-mode gains, in [0, 1]."""
-    return float(_bit_error_x(gains, mu)[1])
-
-
-def bit_error_x_raw(gains: GainSet, mu: float) -> float:
-    """Pre-clamp value of :func:`bit_error_x` (diagnostic)."""
-    return float(_bit_error_x(gains, mu)[0])
+    )[1])
 
 
 def error_rates(gains: GainSet, bounds: BoundPair, mu: float) -> ErrorRates:
@@ -292,12 +285,12 @@ def error_rates(gains: GainSet, bounds: BoundPair, mu: float) -> ErrorRates:
 
 def key_rate_cow(q_z: float, e_p_u: float, e_b: float, f_ec: float) -> float:
     """R = max(0, Q_z * (1 - h(E_p_u) - f_ec * h(E_b))), per pulse pair."""
-    return float(_key_rate_kernel(q_z, e_p_u, e_b, f_ec))
+    return float(_key_rate_kernel(q_z, _entropy_kernel(e_p_u), _entropy_kernel(e_b), f_ec))
 
 
 def key_rate_nonclassical(q_z: float, e_x: float, e_z: float, f_ec: float) -> float:
     """Same rate formula with the X-basis error in place of the phase-error bound."""
-    return float(_key_rate_kernel(q_z, e_x, e_z, f_ec))
+    return float(_key_rate_kernel(q_z, _entropy_kernel(e_x), _entropy_kernel(e_z), f_ec))
 
 
 def plob_bound(eta_ch: float) -> float:

@@ -1,10 +1,11 @@
 import math
-from pathlib import Path
+import warnings
 
+import numpy as np
 import pytest
 
 import cowqkd.cli as cli
-from cowqkd import SystemParams, evaluate_point
+from cowqkd import ParameterError, SystemParams, evaluate_point
 from cowqkd.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -16,6 +17,7 @@ from cowqkd.cli import (
     parse_config_file,
     parse_distance_range,
 )
+from conftest import reference_dir
 
 
 def run_cli(capsys, *argv):
@@ -174,7 +176,7 @@ GOLDEN_SCANS = {
 def test_scan_matches_reference_csv_bytes(name, tmp_path):
     out = tmp_path / name
     assert main(["scan", *GOLDEN_SCANS[name], "--out", str(out)]) == EXIT_OK
-    assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+    assert out.read_bytes() == (reference_dir() / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +227,29 @@ def test_mu_that_overflows_the_bound_is_a_config_error(capsys):
     code, out, _ = run_cli(capsys, "point", "--L", "50", "--mu", "720", "--tb", "0.5")
     assert code == EXIT_OK
     assert parse_report(out)["R"] == "0.0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--L", "0:100:50", "--mu", "1e4"],
+    ["point", "--L", "50", "--mu", "1e4", "--tb", "0.01"],
+    ["point", "--L", "50", "--mu", "800", "--tb", "0.5"],
+])
+def test_overflow_prints_only_the_error_line(capsys, argv):
+    # The CLI ignores numpy's floating-point warnings: the error line says it all.
+    before = np.geterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("error: mu=") and err.count("\n") == 1, err
+    assert np.geterr() == before
+
+
+def test_library_calls_keep_numpy_warnings():
+    with pytest.warns(RuntimeWarning), pytest.raises(ParameterError):
+        evaluate_point(SystemParams(L_km=50.0, p_d=1e-8, eta_d=0.8, e_a=0.0, f_ec=1.1,
+                                    mu=800.0, t_B=0.5))
 
 
 @pytest.mark.parametrize("argv", [

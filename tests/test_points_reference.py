@@ -2,26 +2,42 @@
 
 ``reference_lines()`` renders, one line per seeded operating point,
 ``repr(RatePoint)`` or the exception's type and message, then the CLI output
-of a few ``point``/``optimize`` commands.  ``tests/data/points_reference.txt``
-holds that text as rendered at commit 04a8b2b, and the test requires the same
-bytes.  To rewrite the file after a declared numeric change, run
+of a few ``point``/``optimize`` commands.  ``points_reference.txt`` holds that
+text as rendered at commit 04a8b2b, in the reference set of conftest.py that
+matches this process's numpy exp, and the test requires the same bytes.  A
+second test reruns every byte test with numpy's AVX-512 dispatch off, so an
+AVX-512 host gates both sets.  To rewrite both after a declared numeric
+change, run
 
     PYTHONPATH=src python tests/test_points_reference.py
+    NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" \
+        PYTHONPATH=src python tests/test_points_reference.py
+
+and write the ``GOLDEN_SCANS`` CSVs of ``tests/test_cli.py`` with
+``cowqkd scan ... --out`` the same two ways.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cowqkd import Protocol, SystemParams, evaluate_point
 from cowqkd.cli import main
+from conftest import LIBM_FEATURES_OFF, reference_dir
 
-REFERENCE = Path(__file__).parent / "data" / "points_reference.txt"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = reference_dir() / "points_reference.txt"
+BYTE_TESTS = ("tests/test_cli.py::test_scan_matches_reference_csv_bytes",
+              "tests/test_points_reference.py::test_points_match_reference_bytes")
 SEED = 20211
 N_POINTS = 1600
 # mu reaches 30: far enough for the finite Q_aa_M0 > 1 rejections from
@@ -109,6 +125,21 @@ def test_points_match_reference_bytes():
     assert len(actual) == len(expected)
     for k, (got, want, source) in enumerate(zip(actual, expected, sources)):
         assert got == want, f"line {k + 1} of {REFERENCE.name}: {source}"
+
+
+def test_reference_bytes_with_avx512_dispatch_off():
+    """The libm set is gated here too: the byte tests rerun in a numpy without AVX-512."""
+    path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTEST_")}  # own options only
+    env.update(NPY_DISABLE_CPU_FEATURES=LIBM_FEATURES_OFF, PYTHONPATH=os.pathsep.join(path))
+    probe = subprocess.run([sys.executable, "-c", "import conftest; print(conftest.exp_is_libm())"],
+                           env=env, capture_output=True, text=True, check=True)
+    if probe.stdout.strip() != "True":
+        pytest.skip("np.exp differs from math.exp on this host even with AVX-512 dispatch off")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          *BYTE_TESTS], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-4000:]
+    assert "7 passed" in run.stdout
 
 
 if __name__ == "__main__":
