@@ -55,27 +55,39 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _click_probability(x, p_d):
-    """1 - (1 - p_d) * exp(-x); the expm1 form stays exact for tiny x."""
-    return -np.expm1(-x) + p_d * np.exp(-x)
+    """(1 - (1 - p_d) * exp(-x), exp(-x)); the expm1 form stays exact for tiny x."""
+    neg_x = -x
+    no_light = np.exp(neg_x)
+    return -np.expm1(neg_x) + p_d * no_light, no_light
+
+
+def _n_plus(mu):
+    """Squared norm N+ = 2(1 + e^{-mu}) of the even superposition |alpha 0> + |0 alpha>."""
+    return 2.0 * (1.0 + np.exp(-mu))
+
+
+def _n_minus(mu):
+    """Squared norm N- = 2(1 - e^{-mu}) of the odd superposition."""
+    return 2.0 * (1.0 - np.exp(-mu))
 
 
 def _logic_monitoring_gain(mu, t_b, eta, p_d):
     """Gain of a logic sequence (single non-empty pulse) on either monitoring port."""
     half_pulse = (1.0 - t_b) * mu * eta / 2.0
-    c1 = (1.0 - p_d) * np.exp(-half_pulse)
-    one_minus_c1 = _click_probability(half_pulse, p_d)
+    one_minus_c1, e_half_pulse = _click_probability(half_pulse, p_d)
+    c1 = (1.0 - p_d) * e_half_pulse
     return (1.0 - p_d) ** 2 * np.exp(-t_b * mu * eta) * c1 * one_minus_c1
 
 
 def _decoy_monitoring_gains(mu, t_b, eta, p_d):
     """Monitoring gains (Q_aa_M0, Q_aa_M1, Q_00) of the two decoy sequences."""
     nu = 2.0 * mu * (1.0 - t_b) * eta
-    bright_click = _click_probability(nu, p_d)  # 1 - (1 - p_d) e^{-nu}
-    bright = np.exp(-nu)
+    bright_click, bright = _click_probability(nu, p_d)  # 1 - (1 - p_d) e^{-nu}, e^{-nu}
+    two_bright = -2.0 * t_b * mu
     c5 = (
-        -2.0 * np.exp(-2.0 * t_b * mu)
+        -2.0 * np.exp(two_bright)
         + 2.0 * np.exp(-t_b * mu - t_b * mu * eta)
-        + np.exp(-2.0 * t_b * mu * eta)
+        + np.exp(two_bright * eta)
     )
     q_aa_m0 = (1.0 - p_d) ** 3 * bright_click * c5
     q_aa_m1 = p_d * (1.0 - p_d) ** 3 * bright * c5
@@ -91,14 +103,13 @@ def _nonclassical_monitoring_gains(mu, t_b, eta, p_d):
     cancel catastrophically.
     """
     half_pulse = (1.0 - t_b) * mu * eta / 2.0
-    e_half_pulse = np.exp(-half_pulse)
+    one_minus_c1, e_half_pulse = _click_probability(half_pulse, p_d)
     c1 = (1.0 - p_d) * e_half_pulse
-    one_minus_c1 = _click_probability(half_pulse, p_d)
     b = (1.0 - t_b) * mu / 2.0
     c2 = np.exp(b * (1.0 - eta)) + np.exp(-b * (1.0 - eta))
     c3 = np.exp(-t_b * mu) * np.expm1(t_b * mu * (1.0 - eta))
     c4_minus_c2 = np.expm1(b * eta) * np.exp(-b) * np.expm1(b * (2.0 - eta))
-    weight = 2.0 / (2.0 * (1.0 + np.exp(-mu)))  # 2 / N+
+    weight = 2.0 / _n_plus(mu)
     e_mean = np.exp(-(1.0 + t_b) * mu / 2.0)
     q_m0 = weight * (1.0 - p_d) ** 3 * one_minus_c1 * (e_mean * c2 + e_half_pulse * c3)
     q_m1 = weight * (1.0 - p_d) ** 2 * c1 * (e_mean * (c4_minus_c2 + p_d * c2) + c3 * one_minus_c1)
@@ -137,10 +148,11 @@ def two_detector_squash(intensity_a, intensity_b, p_d):
     mean photon number plus an independent dark count; a double click is
     assigned to either outcome with probability 1/2.
     """
-    p_a = _click_probability(intensity_a, p_d)
-    p_b = _click_probability(intensity_b, p_d)
-    q_a = p_a * (1.0 - p_b) + 0.5 * p_a * p_b
-    q_b = p_b * (1.0 - p_a) + 0.5 * p_a * p_b
+    p_a = _click_probability(intensity_a, p_d)[0]
+    p_b = _click_probability(intensity_b, p_d)[0]
+    half_double = 0.5 * p_a * p_b
+    q_a = p_a * (1.0 - p_b) + half_double
+    q_b = p_b * (1.0 - p_a) + half_double
     return q_a, q_b
 
 

@@ -1,18 +1,22 @@
 """Key-rate maximization over (mu, t_B) and distance scans.
 
 Grid-then-refine: at each distance the objective is evaluated on a log-spaced
-mu grid times a linear t_B grid, then the incumbents of all distances are
-polished together by coordinate-wise golden-section passes that run in
-lockstep.  One objective call over every distance evaluates all the points
-that the next four steps could probe, and a pass is skipped when it could not
-move.  A distance's result equals what a scalar step-by-step search at that
-distance alone would give.  Everything is deterministic; ties resolve to the
-smallest mu, then the smallest t_B, and a NaN grid cell never wins.
+mu grid times a linear t_B grid (for the active variant, whose rate is t_B
+times a t_B-free bracket, on the t_B = tb_max column of many distances at
+once), then the incumbents of all distances are polished together by
+coordinate-wise golden-section passes that run in lockstep.  One objective
+call over every distance evaluates all the points that the next four steps
+could probe, and a pass is skipped when it could not move.  The rows come
+from one array pass over every distance.  A distance's result equals what a
+scalar step-by-step search at that distance alone would give.  Everything is
+deterministic; ties resolve to the smallest mu, then the smallest t_B, and a
+NaN grid cell never wins.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -120,37 +124,64 @@ class ScanConfig:
         return np.linspace(self.tb_min, self.tb_max, self.n_tb)
 
 
-def _objective_surface(base: SystemParams, eta, mu, t_b, protocol: Protocol):
-    """Key rate of the requested protocol, elementwise over broadcastable eta, mu, t_B.
+# One array pass; a protocol left out has None for its error rate and rate.
+# ``logic`` is the mixed (Q_0z_M0, Q_0z_M1), which the Q_1z pair equals, and
+# ``probabilities`` every value that full_gain_set and gain_bounds require in
+# [0, 1]: the unmixed monitoring gains, the GainSet's gains, the bound pair.
+_Chain = namedtuple("_Chain", "Q_z E_b E_p_u E_x R R_tilde logic probabilities")
+
+
+def _rate_chain(base: SystemParams, eta, mu, t_b, protocols) -> _Chain:
+    """The rate chain, elementwise over broadcastable eta, mu, t_B.
 
     ``eta`` is the total transmittance; ``base`` supplies the other link
-    parameters and the variant, and its distance is not used.
+    parameters and the variant, and its distance is not used.  Only the
+    phase-error branches of ``protocols`` run: the Cauchy bound for COW, the
+    superposition-mode gains for NONCLASSICAL.
     """
     p_d, e_a, f_ec = base.p_d, base.e_a, base.f_ec
     active = base.variant is Variant.ACTIVE
 
     q_correct, q_wrong = _data_line_pair(mu, t_b, eta, p_d, e_a, active)
     e_z, q_z = _bit_error_z_kernel(q_correct, q_wrong, q_wrong, q_correct)
-
+    h_bit = _entropy_kernel(e_z)
     q_logic = _routed(_logic_monitoring_gain, mu, t_b, eta, p_d, active)
-    # The logic pair is symmetric, but the mixing is applied anyway so this
-    # path is bit-identical to the scalar one in full_gain_set.
-    q_0z_m0, q_0z_m1 = _mix_pair(q_logic, q_logic, e_a)
-    q_1z_m0, q_1z_m1 = _mix_pair(q_logic, q_logic, e_a)
-    if protocol is Protocol.COW:
-        q_aa_m0, q_aa_m1, q_00 = _routed(_decoy_monitoring_gains, mu, t_b, eta, p_d, active)
-        q_aa_m0, q_aa_m1 = _mix_pair(q_aa_m0, q_aa_m1, e_a)
-        q_00_m0, q_00_m1 = _mix_pair(q_00, q_00, e_a)
-        upper, lower = _bounds_kernel(q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu)
-        _, e_phase = _phase_error_kernel(q_0z_m0, q_0z_m1, q_1z_m0, q_1z_m1,
-                                         upper, lower, mu)
-    else:
-        q_0x_m0, q_0x_m1 = _routed(_nonclassical_monitoring_gains, mu, t_b, eta, p_d,
-                                   active)
-        q_0x_m0, q_0x_m1 = _mix_pair(q_0x_m0, q_0x_m1, e_a)
-        _, e_phase = _bit_error_x_kernel(q_0z_m0, q_0z_m1, q_1z_m0, q_1z_m1,
-                                         q_0x_m0, q_0x_m1, mu)
-    return _key_rate_kernel(q_z, _entropy_kernel(e_phase), _entropy_kernel(e_z), f_ec)
+    # The logic pair is symmetric, but it is mixed anyway so this path is
+    # bit-identical to full_gain_set; the Q_1z pair equals the Q_0z pair.
+    logic = _mix_pair(q_logic, q_logic, e_a)
+    probabilities = [q_correct, q_wrong, q_logic, *logic]
+    e_p_u = e_x = r_cow = r_tilde = None
+    if Protocol.COW in protocols:
+        decoy = _routed(_decoy_monitoring_gains, mu, t_b, eta, p_d, active)
+        mixed = (*_mix_pair(decoy[0], decoy[1], e_a), *_mix_pair(decoy[2], decoy[2], e_a))
+        bounds = _bounds_kernel(*mixed, mu)
+        _, e_p_u = _phase_error_kernel(*logic, *logic, *bounds, mu)
+        r_cow = _key_rate_kernel(q_z, _entropy_kernel(e_p_u), h_bit, f_ec)
+        probabilities += [*decoy, *mixed, *bounds]
+    if Protocol.NONCLASSICAL in protocols:
+        q_0x = _routed(_nonclassical_monitoring_gains, mu, t_b, eta, p_d, active)
+        mixed_0x = _mix_pair(*q_0x, e_a)
+        _, e_x = _bit_error_x_kernel(*logic, *logic, *mixed_0x, mu)
+        r_tilde = _key_rate_kernel(q_z, _entropy_kernel(e_x), h_bit, f_ec)
+        probabilities += [*q_0x, *mixed_0x]
+    return _Chain(q_z, e_z, e_p_u, e_x, r_cow, r_tilde, logic, probabilities)
+
+
+def _objective_surface(base: SystemParams, eta, mu, t_b, protocol: Protocol):
+    """Key rate of the requested protocol from one :func:`_rate_chain` pass."""
+    chain = _rate_chain(base, eta, mu, t_b, (protocol,))
+    return chain.R if protocol is Protocol.COW else chain.R_tilde
+
+
+def _rate_point(L_km, eta_ch, eta_tot, mu, t_b, q_z, e_z, e_p_u, e_x, r_cow, r_tilde,
+                protocol: Protocol) -> RatePoint:
+    objective = r_cow if protocol is Protocol.COW else r_tilde
+    return RatePoint(
+        L_km=L_km, eta_ch=eta_ch, eta_tot=eta_tot, mu_opt=mu, tB_opt=t_b, Q_z=q_z, E_b=e_z,
+        E_p_u=e_p_u, E_x=e_x, R=r_cow, R_tilde=r_tilde,
+        R_plob=plob_bound(eta_ch) if eta_ch < 1.0 else math.inf,
+        flag="" if objective > 0.0 else FLAG_NO_POSITIVE_RATE,
+    )
 
 
 def _point_chain(params: SystemParams, protocol: Protocol = Protocol.COW):
@@ -171,20 +202,36 @@ def _point_chain(params: SystemParams, protocol: Protocol = Protocol.COW):
     # One entropy call for the three error rates; both rates share h(E_b).
     h = _entropy_kernel(np.array([e_p_u, e_x, e_z]))
     r_cow, r_tilde = _key_rate_kernel(q_z, h[:2], h[2], params.f_ec).tolist()
-    objective = r_cow if protocol is Protocol.COW else r_tilde
-    eta_ch = channel_transmittance(params)
-    point = RatePoint(
-        L_km=params.L_km, eta_ch=eta_ch, eta_tot=total_transmittance(params), mu_opt=mu,
-        tB_opt=params.t_B, Q_z=q_z, E_b=e_z, E_p_u=float(e_p_u), E_x=float(e_x),
-        R=r_cow, R_tilde=r_tilde, R_plob=plob_bound(eta_ch) if eta_ch < 1.0 else math.inf,
-        flag="" if objective > 0.0 else FLAG_NO_POSITIVE_RATE,
-    )
+    point = _rate_point(params.L_km, channel_transmittance(params), total_transmittance(params),
+                        mu, params.t_B, q_z, e_z, float(e_p_u), float(e_x), r_cow, r_tilde,
+                        protocol)
     return point, gains, bounds, float(ep_raw), float(ex_raw)
 
 
 def evaluate_point(params: SystemParams, protocol: Protocol = Protocol.COW) -> RatePoint:
     """Full pipeline at one fixed (mu, t_B): gains, error rates, and all rates."""
     return _point_chain(params, protocol)[0]
+
+
+def _rows(base: SystemParams, sites: list[SystemParams], eta: np.ndarray, mu: np.ndarray,
+          t_b: np.ndarray, protocol: Protocol) -> list[RatePoint]:
+    """evaluate_point of every site at its (mu, t_B), from one array pass of the chain.
+
+    Each value is the scalar chain's, bit for bit.  A row passes where every
+    check that evaluate_point makes holds: the unmixed and mixed gains and
+    the bound pair in [0, 1], and data-line and monitoring clicks, which make
+    every rate finite.  A row that fails one is rebuilt by evaluate_point,
+    which raises its error.
+    """
+    chain = _rate_chain(base, eta, mu, t_b, tuple(Protocol))
+    ok = (chain.Q_z > 0.0) & (chain.logic[0] + chain.logic[1] > 0.0)
+    for q in chain.probabilities:
+        ok &= (0.0 <= q) & (q <= 1.0)  # also false for NaN and +-inf
+    # row: eta_tot, mu, t_B, then the chain's Q_z, E_b, E_p_u, E_x, R, R_tilde
+    rows = zip(sites, ok.tolist(), *(v.tolist() for v in (eta, mu, t_b, *chain[:6])))
+    return [_rate_point(site.L_km, channel_transmittance(site), *row, protocol) if ok_k
+            else evaluate_point(replace(site, mu=row[1], t_B=row[2]), protocol)
+            for site, ok_k, *row in rows]
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray,
@@ -253,17 +300,18 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     """Maximize the configured key rate over (mu, t_B) at every distance, in input order.
 
     Each distance gets a full-grid evaluation, of which only the incumbent and
-    its neighbouring grid cells are kept.  Then every distance with a positive
-    grid rate is refined at once: ``refine_iters`` rounds of coordinate-wise
+    its neighbouring grid cells are kept.  The active rate is t_B times a
+    t_B-free bracket, so without ``tb_fixed`` an active scan grids only the
+    ``tb_max`` column, ``n_tb`` distances per call, keeps the full grid's
+    incumbent, and runs no t_B pass.  Then every distance with a positive grid
+    rate is refined at once: ``refine_iters`` rounds of coordinate-wise
     golden-section passes (log-space for mu), bracketed by those neighbours,
-    run in lockstep with one objective call over all these distances per four
-    steps (see :func:`_golden_max`).  A pass runs only if it has not run yet or
-    the other coordinate has moved since, as a rerun could not win: the active
-    variant's ``t_B`` pass runs once, and a scan with ``mu_fixed`` or
-    ``tb_fixed`` runs one pass whatever ``refine_iters`` is.  A refined value
+    with one objective call over all these distances per four steps (see
+    :func:`_golden_max`).  A pass runs only if it has not run yet or the other
+    coordinate has moved since, as a rerun could not win.  A refined value
     never falls below its grid incumbent, and a row does not depend on the
-    other distances of the scan.  Each row is the validated
-    :func:`evaluate_point` at its distance's optimum.
+    other distances.  The rows, from one array pass (see :func:`_rows`), equal
+    :func:`evaluate_point` at each optimum, errors included.
 
     Zero-rate points are flagged, never fatal: a scan always spans its full
     distance list.
@@ -272,24 +320,31 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     mu_grid = config.mu_grid()
     tb_grid = config.tb_grid()
     sites = [replace(base_params, L_km=float(L)) for L in config.L_values]
-    eta = [total_transmittance(site) for site in sites]
+    eta = np.array([total_transmittance(site) for site in sites])
+    active = base_params.variant is Variant.ACTIVE
 
-    best_rate = np.empty(len(sites))
-    i_mu = np.empty(len(sites), dtype=int)
-    i_tb = np.empty(len(sites), dtype=int)
-    for k, eta_k in enumerate(eta):
-        surface = _objective_surface(base_params, eta_k, mu_grid[:, None], tb_grid[None, :],
-                                     protocol)
-        surface = np.fmax(surface, -np.inf)  # a NaN cell (overflow at huge mu) never wins
-        flat_best = int(np.argmax(surface))  # C order: ties resolve to smallest mu, then t_B
-        i_mu[k], i_tb[k] = np.unravel_index(flat_best, surface.shape)
-        best_rate[k] = surface[i_mu[k], i_tb[k]]
+    n = len(sites)
+    best_rate, i_mu, i_tb = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=int)
+    columns = tb_grid[-1:] if active and config.tb_fixed is None else tb_grid
+    per_call = len(tb_grid) // len(columns)  # no call grids more cells than one full grid
+    for start in range(0, n, per_call):
+        block = slice(start, start + per_call)
+        surface = _objective_surface(base_params, eta[block, None, None], mu_grid[None, :, None],
+                                     columns[None, None, :], protocol)
+        # A NaN cell (overflow at huge mu) never wins; in C order, ties
+        # resolve to the smallest mu, then the smallest t_B.
+        surface = np.fmax(surface, -np.inf).reshape(len(surface), -1)
+        flat_best = np.argmax(surface, axis=1)
+        i_mu[block], i_tb[block] = np.unravel_index(flat_best, (len(mu_grid), len(columns)))
+        best_rate[block] = surface[np.arange(len(surface)), flat_best]
+    if len(columns) < len(tb_grid):  # the full grid's incumbent: tb_max, or tb_min at rate 0
+        i_tb[:] = np.where(best_rate > 0.0, len(tb_grid) - 1, 0)
     best_mu = mu_grid[i_mu]
     best_tb = tb_grid[i_tb]
 
     live = np.flatnonzero(best_rate > 0.0)
     if live.size:
-        eta_live = np.array(eta)[live]
+        eta_live = eta[live]
         rate, mu, t_b = best_rate[live], best_mu[live], best_tb[live]
         log_mu_lo = _log(mu_grid[np.maximum(i_mu[live] - 1, 0)])
         log_mu_hi = _log(mu_grid[np.minimum(i_mu[live] + 1, len(mu_grid) - 1)])
@@ -297,7 +352,7 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
         tb_hi = tb_grid[np.minimum(i_tb[live] + 1, len(tb_grid) - 1)]
         # A pass is due until it has run, and again once the other coordinate
         # moves: rerun on an unchanged objective and bracket, it could not win.
-        mu_free, tb_free = config.mu_fixed is None, config.tb_fixed is None
+        mu_free, tb_free = config.mu_fixed is None, config.tb_fixed is None and not active
         mu_due, tb_due = mu_free, tb_free
         for _ in range(config.refine_iters):
             if mu_due:
@@ -316,5 +371,4 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
                 tb_due, mu_due = False, mu_free and bool(better.any())
         best_mu[live], best_tb[live] = mu, t_b
 
-    return [evaluate_point(replace(site, mu=float(m), t_B=float(t)), protocol)
-            for site, m, t in zip(sites, best_mu, best_tb)]
+    return _rows(base_params, sites, eta, best_mu, best_tb, protocol)

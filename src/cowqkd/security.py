@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import GainSet
+from .gains import GainSet, _n_minus, _n_plus
 from .params import ParameterError
 
 __all__ = [
@@ -119,16 +119,9 @@ def _entropy_kernel(a):
     """Binary Shannon entropy with h(0) = h(1) = 0 by continuity; NaN stays NaN."""
     edge = (a <= 0.0) | (a >= 1.0)
     safe = np.where(edge, 0.5, a)
-    value = -safe * np.log2(safe) - (1.0 - safe) * np.log2(1.0 - safe)
+    rest = 1.0 - safe
+    value = -safe * np.log2(safe) - rest * np.log2(rest)
     return np.where(edge, 0.0, value)[()]  # [()] unwraps a 0-d result to a scalar
-
-
-def _n_plus(mu):
-    return 2.0 * (1.0 + np.exp(-mu))
-
-
-def _n_minus(mu):
-    return 2.0 * (1.0 - np.exp(-mu))
 
 
 def _bounds_kernel(q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu):

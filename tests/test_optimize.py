@@ -8,7 +8,7 @@ import pytest
 import cowqkd.optimize as optimize
 from cowqkd import ParameterError, Protocol, ScanConfig, evaluate_point, optimize_point, scan
 from cowqkd.optimize import _LOOKAHEAD, FLAG_NO_POSITIVE_RATE, _golden_max, _objective_surface
-from cowqkd.params import total_transmittance
+from cowqkd.params import Variant, total_transmittance
 from conftest import make_params
 
 
@@ -200,7 +200,12 @@ def _golden_max_scalar(f, lo, hi, iters=48):
 
 
 def reference_scan(base, config):
-    """One distance at a time: grid, then scalar coordinate-wise golden-section passes."""
+    """One distance at a time: full grid, then scalar coordinate-wise golden-section passes.
+
+    The active variant gets no t_B pass: its rate is t_B times a t_B-free
+    bracket, so the pass only ever probes below its incumbent tb_max (see
+    test_active_rows_keep_tb_max for the rounding it would chase).
+    """
     mu_grid, tb_grid = config.mu_grid(), config.tb_grid()
     mu_mesh, tb_mesh = np.meshgrid(mu_grid, tb_grid, indexing="ij")
     points = []
@@ -212,6 +217,7 @@ def reference_scan(base, config):
             return float(_objective_surface(site, eta, mu, t_b, config.protocol))
 
         surface = _objective_surface(site, eta, mu_mesh, tb_mesh, config.protocol)
+        surface = np.fmax(surface, -np.inf)  # a NaN cell never wins
         i_mu, i_tb = np.unravel_index(int(np.argmax(surface)), surface.shape)
         best_rate = float(surface[i_mu, i_tb])
         best_mu, best_tb = float(mu_grid[i_mu]), float(tb_grid[i_tb])
@@ -226,12 +232,34 @@ def reference_scan(base, config):
                                                    math.log(mu_lo), math.log(mu_hi))
                     if r > best_rate:
                         best_rate, best_mu = r, math.exp(log_mu)
-                if config.tb_fixed is None:
+                if config.tb_fixed is None and site.variant is Variant.PASSIVE:
                     t_b, r = _golden_max_scalar(lambda x: rate(best_mu, x), tb_lo, tb_hi)
                     if r > best_rate:
                         best_rate, best_tb = r, t_b
         points.append(evaluate_point(replace(site, mu=best_mu, t_B=best_tb), config.protocol))
     return points
+
+
+def test_active_rows_keep_tb_max():
+    # A row near the nonclassical reach (bracket R_tilde / Q_z about 5e-5).  In
+    # the active variant, E_b does not depend on t_B, but its rounding does, and
+    # a scalar t_B pass, which probes to within 2e-12 of tb_max, finds a rate
+    # higher by that rounding alone.  The scan keeps tb_max; the rate it leaves
+    # is below Q_z * 1e-15.
+    base = make_params(L_km=152.6, p_d=1.773396295930934e-09, eta_d=0.4653810423139731,
+                       e_a=0.05957046180094523, f_ec=1.185609361163892, variant="active")
+    config = reference_config(L_values=(152.6,), mu_min=2.8258717866809313e-06,
+                              mu_max=9.415708715389714e-05, n_mu=23, refine_iters=5,
+                              protocol=Protocol.NONCLASSICAL)
+    [point] = scan(base, config)
+    assert point.tB_opt == config.tb_max and point.R_tilde > 0.0
+    assert point == evaluate_point(replace(base, mu=point.mu_opt, t_B=point.tB_opt),
+                                   config.protocol)
+    eta = total_transmittance(base)
+    t_b, r = _golden_max_scalar(
+        lambda x: float(_objective_surface(base, eta, point.mu_opt, x, config.protocol)),
+        float(config.tb_grid()[-2]), config.tb_max)
+    assert t_b < config.tb_max and 0.0 < r - point.R_tilde < 1e-15 * point.Q_z
 
 
 def test_lockstep_scan_matches_scalar_reference_exactly():
@@ -258,17 +286,22 @@ def test_lockstep_scan_matches_scalar_reference_exactly():
 
 
 def test_scan_memory_is_per_distance():
-    base = make_params()
-    config = reference_config(L_values=tuple(0.5 * k for k in range(301)))
-    scan(base, reference_config())  # warm-up outside the traced region
-    tracemalloc.start()
-    try:
-        scan(base, config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one 60 x 49 surface and its temporaries at a time, never one per distance
-    assert peak < 4e6
+    # passive: one 60 x 49 surface and its temporaries at a time, never one per
+    # distance; active: one tb_max column of 49 distances x 60 mu at a time, where
+    # a column of all 3001 distances would take about 29 MB.  These run to
+    # 1500 km, so few rows are refined, and the rows (3001 RatePoints, about
+    # 1.4 MB) and their one array pass take most of the active scan's 2.8 MB.
+    for variant, n_distances in (("passive", 301), ("active", 3001)):
+        base = make_params(variant=variant)
+        config = reference_config(L_values=tuple(0.5 * k for k in range(n_distances)))
+        scan(base, reference_config())  # warm-up outside the traced region
+        tracemalloc.start()
+        try:
+            scan(base, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, variant
 
 
 def _recorded(f):
@@ -325,17 +358,56 @@ def test_scan_objective_call_budget(monkeypatch):
         return surface(*args)
     monkeypatch.setattr(optimize, "_objective_surface", counted)
     distances = tuple(float(L) for L in range(0, 151, 5))
+    n_l = len(distances)
     # objective calls per 48-step golden-section pass: the first two probes,
     # then one call per four steps (one call per step would be 49)
     passes = 13
-    cases = [("passive", {}, 6), ("active", {}, 2)]
+    # (variant, overrides, grid calls, refinement passes): the passive grid is
+    # one call per distance; the active grid is the tb_max column of up to
+    # n_tb distances per call, and the active variant has no t_B pass
+    cases = [("passive", {}, n_l, 6), ("active", {}, math.ceil(n_l / 49), 1),
+             ("active", {"n_tb": 5}, math.ceil(n_l / 5), 1),
+             ("passive", {"mu_fixed": 0.004, "refine_iters": 5}, n_l, 1),
+             ("active", {"mu_fixed": 0.004, "refine_iters": 5}, math.ceil(n_l / 49), 0)]
     for variant in ("passive", "active"):
-        cases += [(variant, {"mu_fixed": 0.004, "refine_iters": 5}, 1),
-                  (variant, {"tb_fixed": 0.37, "refine_iters": 5}, 1)]
-    for variant, overrides, n_passes in cases:
+        cases.append((variant, {"tb_fixed": 0.37, "refine_iters": 5}, n_l, 1))
+    for variant, overrides, grid_calls, n_passes in cases:
         for protocol in Protocol:
             calls.clear()
             scan(make_params(variant=variant),
                  reference_config(L_values=distances, protocol=protocol, **overrides))
-            # one grid call per distance, then at most n_passes refinement passes
-            assert len(calls) <= len(distances) + n_passes * passes, (variant, overrides)
+            # the rows come from one array pass, not from objective calls
+            assert len(calls) <= grid_calls + n_passes * passes, (variant, overrides)
+
+
+def _error(run):
+    """(type, message) of the ValueError that run() raises, or None."""
+    try:
+        run()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scan_raises_what_a_per_row_evaluate_point_loop_raises():
+    # Each failing row is a zero-rate row at the grid's first cell.  The first
+    # case fails on the unmixed Q_aa_M0 > 1 (the mixed one is below 1), the
+    # next two on gains that overflow at mu = 1e4, the last on a second row
+    # without data-line clicks (no dark counts, transmittance 0 at 1e5 km).
+    cases = [(make_params(e_a=0.05), {"mu_fixed": 5.0, "tb_fixed": 0.016}, (10.0, 20.0),
+              "Q_aa_M0 must be a probability"),
+             (make_params(), {"mu_fixed": 1e4}, (0.0, 50.0), "mu=10000.0 is too large"),
+             (make_params(variant="active"), {"mu_fixed": 1e4}, (0.0, 50.0),
+              "mu=10000.0 is too large"),
+             (make_params(p_d=0.0, variant="active"), {}, (50.0, 1e5),
+              "all data-line gains are zero")]
+    for base, overrides, distances, expected in cases:
+        for protocol in Protocol:
+            config = reference_config(L_values=distances, protocol=protocol, **overrides)
+            mu, t_b = float(config.mu_grid()[0]), float(config.tb_grid()[0])
+            per_row = _error(lambda: [
+                evaluate_point(replace(base, L_km=L, mu=mu, t_B=t_b), protocol)
+                for L in distances])
+            assert per_row is not None and expected in per_row[1], per_row
+            assert _error(lambda: scan(base, config)) == per_row, (overrides, protocol)

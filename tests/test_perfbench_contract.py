@@ -63,19 +63,25 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def _assert_run_ends_in_a_strict_json_result(workload, trace):
+def _assert_run_ends_in_a_strict_json_result(workload, trace, seconds="0.2"):
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seconds", "0.2", "--trace", trace], cwd=ROOT, capture_output=True,
-                          text=True, timeout=300)
+                           "--seconds", seconds, "--trace", trace], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1], parse_constant=_reject_constant)
     assert result["correct"] is True and result["failed"] == 0, result
     for name, metric in result["metrics"].items():
         assert math.isfinite(metric["value"]), (name, metric)
+    return done.stdout
 
 
 def test_traced_scan_run_ends_in_a_strict_json_result():
-    _assert_run_ends_in_a_strict_json_result("scan", "1")
+    # Long enough for two traced passes, so the per-layer medians are taken
+    # over passes, as in a full-length run, not copied from a single one.
+    out = _assert_run_ends_in_a_strict_json_result("scan", "1", seconds="1")
+    notes = [line for line in out.splitlines() if "traced and" in line]
+    assert len(notes) == 1, out
+    assert int(notes[0].split()[0]) >= 2, notes[0]
 
 
 def test_verify_run_ends_in_a_strict_json_result():

@@ -1,11 +1,12 @@
 """Property tests: the array path equals the scalar chain bit for bit.
 
-The scan's grid and refinement evaluate ``_objective_surface`` on arrays, and
-its rows, the ``point`` report and the library evaluate the same kernels on
-scalars.  Hypothesis draws operating points over the validated parameter
-space (p_d and e_a include 0, mu spans 1e-5 to 30, L spans 0 to 300 km, both
-variants and both protocols) and requires identical floats on every path.
-Runs are derandomized, so a failure reproduces.
+The scan's grid, refinement and rows evaluate the chain on arrays, and the
+``point`` report and the library evaluate the same kernels on scalars.
+Hypothesis draws operating points over the validated parameter space (p_d and
+e_a include 0, mu spans 1e-5 to 30, L spans 0 to 300 km, both variants and
+both protocols) and requires identical floats on every path, and identical
+active scans from the tb_max column grid and from the full grid with a scalar
+golden-section mu pass.  Runs are derandomized, so a failure reproduces.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import io
 import numpy as np
 import pytest
 
-from cowqkd import Protocol, SystemParams, evaluate_point
+from cowqkd import Protocol, ScanConfig, SystemParams, evaluate_point, scan
 from cowqkd.cli import main
 from cowqkd.optimize import _objective_surface
 from cowqkd.params import total_transmittance
+from test_optimize import reference_scan
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -87,3 +89,34 @@ def test_point_report_equals_evaluate_point(link, setting, protocol):
     report = dict(line.split("=", 1) for line in out.getvalue().splitlines())
     assert (report["Ep_u"], report["Ex"], report["R"], report["R_tilde"]) == (
         repr(point.E_p_u), repr(point.E_x), repr(point.R), repr(point.R_tilde))
+
+
+def _outcome(run):
+    """run()'s result, or the type and message of the ValueError it raises."""
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(link=_links, distances=st.lists(st.floats(0.0, 150.0), min_size=1, max_size=3),
+       mu_box=st.tuples(_log_uniform(1e-5, 0.1), _log_uniform(1.5, 1e7)),
+       tb_box=st.tuples(st.floats(0.001, 0.5), st.floats(0.5, 0.999)),
+       n_tb=st.integers(2, 9), refine_iters=st.integers(0, 5),
+       mu_fixed=st.one_of(st.none(), st.none(), _log_uniform(1e-5, 1e4),
+                          st.sampled_from([800.0, 1e4])),
+       protocol=st.sampled_from(list(Protocol)))
+def test_active_scan_equals_reference_scan(link, distances, mu_box, tb_box, n_tb, refine_iters,
+                                           mu_fixed, protocol):
+    # mu_max reaches 1e6 and mu_fixed 1e4, where exp(mu) overflows: NaN grid
+    # cells, and rows that raise
+    assume(tb_box[0] < tb_box[1])
+    base = SystemParams(mu=0.1, t_B=0.5, **dict(link, variant="active"))
+    config = ScanConfig(L_values=tuple(distances), mu_min=mu_box[0],
+                        mu_max=mu_box[0] * mu_box[1], n_mu=12, tb_min=tb_box[0],
+                        tb_max=tb_box[1], n_tb=n_tb, refine_iters=refine_iters,
+                        protocol=protocol, mu_fixed=mu_fixed)
+    with np.errstate(all="ignore"):
+        assert _outcome(lambda: scan(base, config)) == _outcome(
+            lambda: reference_scan(base, config))
