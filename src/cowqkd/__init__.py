@@ -6,15 +6,7 @@ rates with parameter optimization, a repeaterless capacity reference, and a
 seeded Monte-Carlo detection oracle for cross-validation.
 """
 
-from .gains import (
-    GainSet,
-    MonitoringGains,
-    apply_misalignment,
-    data_line_gains,
-    full_gain_set,
-    monitoring_gains_ideal,
-    nonclassical_gains_ideal,
-)
+from .gains import GainSet, data_line_gains, full_gain_set, nonclassical_gains_ideal
 from .optimize import Protocol, ScanConfig, evaluate_point, optimize_point, scan
 from .oracle import (
     OracleEstimate,
@@ -22,7 +14,6 @@ from .oracle import (
     estimate_data_gains,
     estimate_monitoring_gains,
     run_verification,
-    sample_click,
     sample_clicks,
 )
 from .params import (
@@ -34,7 +25,6 @@ from .params import (
 )
 from .security import (
     BoundPair,
-    ErrorRates,
     NoDetectionError,
     NoMonitoringDetectionError,
     RatePoint,
@@ -42,7 +32,6 @@ from .security import (
     binary_entropy,
     bit_error_x,
     bit_error_z,
-    error_rates,
     gain_bounds,
     key_rate_cow,
     key_rate_nonclassical,
@@ -55,9 +44,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundPair",
-    "ErrorRates",
     "GainSet",
-    "MonitoringGains",
     "NoDetectionError",
     "NoMonitoringDetectionError",
     "OracleEstimate",
@@ -68,14 +55,12 @@ __all__ = [
     "SystemParams",
     "VerificationReport",
     "Variant",
-    "apply_misalignment",
     "azuma_deviation",
     "binary_entropy",
     "bit_error_x",
     "bit_error_z",
     "channel_transmittance",
     "data_line_gains",
-    "error_rates",
     "estimate_data_gains",
     "estimate_monitoring_gains",
     "evaluate_point",
@@ -83,14 +68,12 @@ __all__ = [
     "gain_bounds",
     "key_rate_cow",
     "key_rate_nonclassical",
-    "monitoring_gains_ideal",
     "nonclassical_gains_ideal",
     "optimize_point",
     "phase_error_upper",
     "phase_error_upper_raw",
     "plob_bound",
     "run_verification",
-    "sample_click",
     "sample_clicks",
     "scan",
     "total_transmittance",

@@ -11,11 +11,12 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .optimize import Protocol, ScanConfig, _point_chain, optimize_point, scan
+from .gains import GainSet
+from .optimize import Protocol, ScanConfig, _point_record, optimize_point, scan
 from .params import ParameterError, SystemParams
 from .oracle import MIN_SAMPLES, VerificationReport, run_verification
 from .security import azuma_deviation
@@ -220,7 +221,7 @@ def _point_report_lines(params: SystemParams) -> list[str]:
     Values are printed with repr so they round-trip to the exact library
     results.
     """
-    point, gains, bounds, ep_raw, ex_raw = _point_chain(params)
+    point, chain = _point_record(params)
     lines = [
         f"L_km={params.L_km!r}",
         f"eta_ch={point.eta_ch!r}",
@@ -229,20 +230,15 @@ def _point_report_lines(params: SystemParams) -> list[str]:
         f"t_B={params.t_B!r}",
         f"variant={params.variant.value}",
     ]
-    for name in ("Q_0z_T0", "Q_0z_T1", "Q_1z_T0", "Q_1z_T1",
-                 "Q_0z_M0", "Q_0z_M1", "Q_1z_M0", "Q_1z_M1",
-                 "Q_aa_M0", "Q_aa_M1", "Q_00_M0", "Q_00_M1",
-                 "Q_0x_M0", "Q_0x_M1"):
-        lines.append(f"{name}={getattr(gains, name)!r}")
+    for name in (*(f.name for f in fields(GainSet)), "Q_0x_M1_upper", "Q_0x_M0_lower"):
+        lines.append(f"{name}={getattr(chain, name)!r}")
     lines += [
-        f"Q_0x_M1_upper={bounds.Q_0x_M1_upper!r}",
-        f"Q_0x_M0_lower={bounds.Q_0x_M0_lower!r}",
         f"Qz={point.Q_z!r}",
         f"Eb={point.E_b!r}",
-        f"Ep_u_raw={ep_raw!r}",
+        f"Ep_u_raw={chain.E_p_u_raw!r}",
         f"Ep_u={point.E_p_u!r}",
-        f"bound_trivial={'true' if ep_raw > 0.5 else 'false'}",
-        f"Ex_raw={ex_raw!r}",
+        f"bound_trivial={'true' if chain.E_p_u_raw > 0.5 else 'false'}",
+        f"Ex_raw={chain.E_x_raw!r}",
         f"Ex={point.E_x!r}",
         f"R={point.R!r}",
         f"R_tilde={point.R_tilde!r}",

@@ -22,8 +22,9 @@ extension are documented here:
 * misalignment on the monitoring line: uniform port cross-talk mixing of
   every (M0, M1) pair, which is exact at e_a = 0 and conserves pair sums.
 
-All kernels accept scalars or numpy arrays and evaluate elementwise, so the
-optimizer's grid path and the scalar API produce bit-identical numbers.
+All kernels accept scalars or numpy arrays and evaluate elementwise, so
+``optimize._rate_chain``, on arrays or on one point's floats, and the
+scalar step API below produce bit-identical numbers.
 Scalars in give scalars out, never a 0-d array, whose per-call cost in numpy
 would dominate a single point; arrays broadcast.  Q_00 depends on p_d alone,
 so it stays a scalar on a (mu, t_B) grid.
@@ -40,10 +41,7 @@ from .params import ParameterError, SystemParams, Variant, total_transmittance
 
 __all__ = [
     "GainSet",
-    "MonitoringGains",
-    "monitoring_gains_ideal",
     "nonclassical_gains_ideal",
-    "apply_misalignment",
     "data_line_gains",
     "full_gain_set",
     "two_detector_squash",
@@ -186,42 +184,12 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
 
 
-def _check_gain_fields(gains) -> None:
-    """Each field, in declaration order, must be a probability; the Q_0x pair may be None."""
-    for name, value in vars(gains).items():  # in declaration order
-        if value is not None or name not in ("Q_0x_M0", "Q_0x_M1"):
-            _check_probability(name, value)
-
-
 def _check_ideal(gains, mu: float) -> None:
     """Validate unmixed gains in order; overflow at huge mu is a ParameterError."""
     for name, value in gains:
         if not math.isfinite(value):
             raise ParameterError(f"mu={mu!r} is too large: exp(mu) overflows the gain {name}")
         _check_probability(name, value)
-
-
-def _check_misalignment(e_a: float) -> None:
-    if not (0.0 <= e_a < 0.5):
-        raise ValueError(f"e_a must be in [0, 0.5), got {e_a!r}")
-
-
-@dataclass(frozen=True)
-class MonitoringGains:
-    """Monitoring-line gains of all sequences; the Q_0x pair is optional."""
-
-    Q_0z_M0: float
-    Q_0z_M1: float
-    Q_1z_M0: float
-    Q_1z_M1: float
-    Q_aa_M0: float
-    Q_aa_M1: float
-    Q_00_M0: float
-    Q_00_M1: float
-    Q_0x_M0: float | None = None
-    Q_0x_M1: float | None = None
-
-    __post_init__ = _check_gain_fields
 
 
 @dataclass(frozen=True)
@@ -244,26 +212,12 @@ class GainSet:
     Q_aa_M1: float
     Q_00_M0: float
     Q_00_M1: float
-    Q_0x_M0: float | None = None
-    Q_0x_M1: float | None = None
+    Q_0x_M0: float
+    Q_0x_M1: float
 
-    __post_init__ = _check_gain_fields
-
-
-def monitoring_gains_ideal(params: SystemParams) -> MonitoringGains:
-    """Monitoring-line gains at zero misalignment, dispatching on the variant.
-
-    The loss factor entering every expression is the total transmittance
-    (channel times detector efficiency).  The logic-sequence gains are equal
-    on both ports by symmetry of a single non-empty pulse.
-    """
-    eta = total_transmittance(params)
-    q_logic = _routed_floats(_logic_monitoring_gain, params, eta)
-    q_aa_m0, q_aa_m1, q_00 = _routed_floats(_decoy_monitoring_gains, params, eta)
-    return MonitoringGains(
-        Q_0z_M0=q_logic, Q_0z_M1=q_logic, Q_1z_M0=q_logic, Q_1z_M1=q_logic,
-        Q_aa_M0=q_aa_m0, Q_aa_M1=q_aa_m1, Q_00_M0=q_00, Q_00_M1=q_00,
-    )
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():  # in declaration order
+            _check_probability(name, value)
 
 
 def nonclassical_gains_ideal(params: SystemParams) -> tuple[float, float]:
@@ -272,21 +226,6 @@ def nonclassical_gains_ideal(params: SystemParams) -> tuple[float, float]:
     The active variant routes the whole pulse, like its logic and decoy gains.
     """
     return _routed_floats(_nonclassical_monitoring_gains, params, total_transmittance(params))
-
-
-def apply_misalignment(gains: MonitoringGains, e_a: float) -> MonitoringGains:
-    """Mix every (M0, M1) pair by the port cross-talk weight e_a.
-
-    The mixing conserves each pair sum and is the identity at e_a = 0.
-    """
-    _check_misalignment(e_a)
-    mixed = {}
-    for m0 in ("Q_0z_M0", "Q_1z_M0", "Q_aa_M0", "Q_00_M0", "Q_0x_M0"):
-        m1 = m0[:-1] + "1"
-        pair = getattr(gains, m0), getattr(gains, m1)
-        if None not in pair:  # only the optional Q_0x pair can be None
-            mixed[m0], mixed[m1] = _mix_pair(*pair, e_a)
-    return MonitoringGains(**mixed)
 
 
 def data_line_gains(params: SystemParams) -> tuple[float, float, float, float]:
@@ -302,16 +241,16 @@ def _data_line_floats(params: SystemParams, eta: float) -> tuple[float, float]:
     return float(q_correct), float(q_wrong)
 
 
-def full_gain_set(params: SystemParams, include_nonclassical: bool = True) -> GainSet:
+def full_gain_set(params: SystemParams) -> GainSet:
     """Assemble the complete GainSet at the given operating point.
 
     Monitoring gains are the ideal closed forms with misalignment mixing
     applied; data-line gains carry the wrong-slot leakage directly.  Each
     kernel runs once, at one total transmittance.  Validated in order: the
     unmixed logic and decoy gains, then the unmixed Q_0x pair (a non-finite
-    one, from exp(mu) overflowing, is a ParameterError naming mu); e_a; then
-    the GainSet, i.e. the data-line and the mixed monitoring gains.  Mixing
-    can pull a gain above 1 back under it, so the unmixed checks are kept.
+    one, from exp(mu) overflowing, is a ParameterError naming mu); then the
+    GainSet, i.e. the data-line and the mixed monitoring gains.  Mixing can
+    pull a gain above 1 back under it, so the unmixed checks are kept.
     """
     mu, e_a = params.mu, params.e_a
     eta = total_transmittance(params)
@@ -319,20 +258,16 @@ def full_gain_set(params: SystemParams, include_nonclassical: bool = True) -> Ga
     q_aa_m0, q_aa_m1, q_00 = _routed_floats(_decoy_monitoring_gains, params, eta)
     _check_ideal((("Q_0z_M0", q_logic), ("Q_aa_M0", q_aa_m0), ("Q_aa_M1", q_aa_m1),
                   ("Q_00_M0", q_00)), mu)
-    q_0x: tuple[float | None, float | None] = (None, None)
-    if include_nonclassical:
-        q_0x = _routed_floats(_nonclassical_monitoring_gains, params, eta)
-        _check_ideal(zip(("Q_0x_M0", "Q_0x_M1"), q_0x), mu)
-    _check_misalignment(e_a)
+    q_0x = _routed_floats(_nonclassical_monitoring_gains, params, eta)
+    _check_ideal(zip(("Q_0x_M0", "Q_0x_M1"), q_0x), mu)
     q_z_m0, q_z_m1 = _mix_pair(q_logic, q_logic, e_a)
     q_aa_m0, q_aa_m1 = _mix_pair(q_aa_m0, q_aa_m1, e_a)
     q_00_m0, q_00_m1 = _mix_pair(q_00, q_00, e_a)
-    if include_nonclassical:
-        q_0x = _mix_pair(*q_0x, e_a)
+    q_0x_m0, q_0x_m1 = _mix_pair(*q_0x, e_a)
     q_correct, q_wrong = _data_line_floats(params, eta)
     return GainSet(
         Q_0z_T0=q_correct, Q_0z_T1=q_wrong, Q_1z_T0=q_wrong, Q_1z_T1=q_correct,
         Q_0z_M0=q_z_m0, Q_0z_M1=q_z_m1, Q_1z_M0=q_z_m0, Q_1z_M1=q_z_m1,
         Q_aa_M0=q_aa_m0, Q_aa_M1=q_aa_m1, Q_00_M0=q_00_m0, Q_00_M1=q_00_m1,
-        Q_0x_M0=q_0x[0], Q_0x_M1=q_0x[1],
+        Q_0x_M0=q_0x_m0, Q_0x_M1=q_0x_m1,
     )

@@ -8,7 +8,8 @@ checked against.  It validates the analytic data-line model and the
 misalignment extension; for the monitoring line it samples the same
 documented squash model, while the literal closed-form gains carry extra
 spectator conditioning factors, so those are compared through an
-informational ratio report rather than a statistical gate.
+informational ratio report rather than a statistical gate.  That report
+reads the mixed monitoring gains of ``full_gain_set`` by field name.
 
 Randomness comes from the counter-based Philox generator.  Every estimated
 sequence owns a keyed substream, so estimates are independent of evaluation
@@ -29,12 +30,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import scipy  # noqa: F401  (loads no submodule; perfbench's environment line reads its version)
 
-from .gains import (
-    apply_misalignment,
-    data_line_gains,
-    monitoring_gains_ideal,
-    two_detector_squash,
-)
+from .gains import data_line_gains, full_gain_set, two_detector_squash
 from .params import SystemParams, Variant, total_transmittance
 
 __all__ = [
@@ -43,7 +39,6 @@ __all__ = [
     "RatioEntry",
     "CaseReport",
     "VerificationReport",
-    "sample_click",
     "sample_clicks",
     "estimate_data_gains",
     "estimate_monitoring_gains",
@@ -107,11 +102,6 @@ def sample_clicks(lambda_mean: float, p_d: float, n: int,
     clicks[rng.choice(n, size=n_dark, replace=False, shuffle=False)] = True
     clicks[rng.integers(0, n, size=rng.poisson(n * lambda_mean))] = True
     return clicks
-
-
-def sample_click(lambda_mean: float, p_d: float, rng: np.random.Generator) -> bool:
-    """Single threshold-detector outcome; see :func:`sample_clicks`."""
-    return bool(sample_clicks(lambda_mean, p_d, 1, rng)[0])
 
 
 def _squash_counts(clicks_a: np.ndarray, clicks_b: np.ndarray,
@@ -346,7 +336,8 @@ def run_verification(n_samples: int, seed: int,
     Gated checks (4 sigma): sampled data-line gains against the analytic
     data-line model, and sampled monitoring gains against the squash-model
     closed form.  The ratio of oracle estimates to the literal closed-form
-    monitoring gains is attached per case, unguarded.
+    monitoring gains, the fields of :func:`full_gain_set` of the same name, is
+    attached per case, unguarded.
 
     The model callables exist so a harness self-test can inject a tampered
     analytic formula and confirm the gate trips.
@@ -375,7 +366,7 @@ def run_verification(n_samples: int, seed: int,
             count = round(est.estimate * n_samples)
             checks.append(_four_sigma_check(name, count, n_samples, expected_mon[name]))
 
-        closed = apply_misalignment(monitoring_gains_ideal(params), params.e_a)
+        closed = full_gain_set(params)
         ratios = []
         for name, est in mon_est.items():
             reference = getattr(closed, name)

@@ -3,7 +3,22 @@ from pathlib import Path
 
 import numpy as np
 
-from cowqkd import SystemParams
+from cowqkd import (
+    Protocol,
+    RatePoint,
+    SystemParams,
+    bit_error_x,
+    bit_error_z,
+    channel_transmittance,
+    full_gain_set,
+    gain_bounds,
+    key_rate_cow,
+    key_rate_nonclassical,
+    phase_error_upper,
+    plob_bound,
+    total_transmittance,
+)
+from cowqkd.optimize import FLAG_NO_POSITIVE_RATE
 
 # The byte references come in two sets, because numpy's AVX-512 exp, expm1
 # and log round differently from the C library on a few percent of inputs.
@@ -39,3 +54,27 @@ def make_params(**overrides) -> SystemParams:
     )
     values.update(overrides)
     return SystemParams(**values)
+
+
+def stepwise_point(params: SystemParams, protocol: Protocol = Protocol.COW) -> RatePoint:
+    """evaluate_point's result, built only from the public step API.
+
+    The library evaluates a point with its one rate chain; this reference
+    takes the steps one public call at a time, so a test that compares the
+    two does not compare the chain with itself.  Errors come from the first
+    step that rejects the point.
+    """
+    gains = full_gain_set(params)
+    e_b, q_z = bit_error_z(gains)
+    mu = params.mu
+    bounds = gain_bounds(gains.Q_aa_M0, gains.Q_aa_M1, gains.Q_00_M0, gains.Q_00_M1, mu)
+    e_p_u = phase_error_upper(gains, bounds, mu)
+    e_x = bit_error_x(gains, mu)
+    r = key_rate_cow(q_z, e_p_u, e_b, params.f_ec)
+    r_tilde = key_rate_nonclassical(q_z, e_x, e_b, params.f_ec)
+    eta_ch = channel_transmittance(params)
+    objective = r if protocol is Protocol.COW else r_tilde
+    return RatePoint(L_km=params.L_km, eta_ch=eta_ch, eta_tot=total_transmittance(params),
+                     mu_opt=mu, tB_opt=params.t_B, Q_z=q_z, E_b=e_b, E_p_u=e_p_u, E_x=e_x,
+                     R=r, R_tilde=r_tilde, R_plob=plob_bound(eta_ch) if eta_ch < 1.0 else math.inf,
+                     flag="" if objective > 0.0 else FLAG_NO_POSITIVE_RATE)

@@ -3,19 +3,34 @@ monitoring formula (different algebraic arrangement) compared at 1e-12
 relative tolerance."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from cowqkd import (
-    apply_misalignment,
+    ParameterError,
     data_line_gains,
     full_gain_set,
-    monitoring_gains_ideal,
     nonclassical_gains_ideal,
     total_transmittance,
 )
-from cowqkd.gains import GainSet, MonitoringGains, two_detector_squash
+from cowqkd.gains import (
+    GainSet,
+    _decoy_monitoring_gains,
+    _logic_monitoring_gain,
+    _routed,
+    _routed_floats,
+    two_detector_squash,
+)
 from conftest import make_params
+
+MONITORING_PAIRS = (("Q_0z_M0", "Q_0z_M1"), ("Q_1z_M0", "Q_1z_M1"), ("Q_aa_M0", "Q_aa_M1"),
+                    ("Q_00_M0", "Q_00_M1"), ("Q_0x_M0", "Q_0x_M1"))
+
+
+def unmixed(params):
+    """The GainSet at zero misalignment, whose monitoring gains are the closed forms."""
+    return full_gain_set(replace(params, e_a=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +104,7 @@ def test_monitoring_transcription_matches_reference(variant):
     for point in GRID:
         params = make_params(variant=variant, **point)
         eta = total_transmittance(params)
-        mon = monitoring_gains_ideal(params)
+        mon = unmixed(params)
         q_logic, q_aa_m0, q_aa_m1, q_00 = ref_monitoring(
             params.mu, params.t_B, eta, params.p_d, variant == "active")
         assert mon.Q_0z_M0 == pytest.approx(q_logic, rel=1e-12, abs=1e-300)
@@ -122,8 +137,6 @@ def test_active_data_line_routes_whole_pulse():
 
 
 def test_no_light_no_dark_counts_gives_zero_gains():
-    from cowqkd.gains import _decoy_monitoring_gains, _logic_monitoring_gain, _routed
-
     # exact zero at the formula level for mu = 0
     for active in (False, True):
         assert float(_routed(_logic_monitoring_gain, 0.0, 0.5, 0.08, 0.0, active)) == 0.0
@@ -131,7 +144,7 @@ def test_no_light_no_dark_counts_gives_zero_gains():
         assert float(q_aa_m0) == 0.0 and float(q_aa_m1) == 0.0 and float(q_00) == 0.0
     # and vanishingly small through the public surface as mu -> 0
     for variant in ("passive", "active"):
-        mon = monitoring_gains_ideal(make_params(mu=1e-300, p_d=0.0, variant=variant))
+        mon = unmixed(make_params(mu=1e-300, p_d=0.0, variant=variant))
         assert mon.Q_0z_M0 < 1e-299
         assert mon.Q_aa_M0 < 1e-299
         assert mon.Q_aa_M1 == 0.0
@@ -140,24 +153,24 @@ def test_no_light_no_dark_counts_gives_zero_gains():
 
 def test_vacuum_sequence_gain_is_dark_count_formula():
     params = make_params(p_d=1e-8)
-    mon = monitoring_gains_ideal(params)
+    mon = unmixed(params)
     assert mon.Q_00_M0 == 1e-8 * (1 - 1e-8) ** 3
     assert mon.Q_00_M1 == mon.Q_00_M0
-    active = monitoring_gains_ideal(make_params(p_d=1e-8, variant="active"))
+    active = unmixed(make_params(p_d=1e-8, variant="active"))
     assert active.Q_00_M0 == 1e-8 * (1 - 1e-8)
 
 
 def test_vacuum_sequence_independent_of_geometry():
-    reference = monitoring_gains_ideal(make_params(p_d=1e-7)).Q_00_M0
+    reference = unmixed(make_params(p_d=1e-7)).Q_00_M0
     for point in (dict(L_km=0.0), dict(L_km=200.0), dict(mu=1.0),
                   dict(mu=1e-4), dict(t_B=0.01), dict(t_B=0.99)):
-        assert monitoring_gains_ideal(make_params(p_d=1e-7, **point)).Q_00_M0 == reference
+        assert unmixed(make_params(p_d=1e-7, **point)).Q_00_M0 == reference
 
 
 def test_logic_sequence_port_symmetry_exact():
     for point in GRID[::7]:
         for variant in ("passive", "active"):
-            mon = monitoring_gains_ideal(make_params(variant=variant, **point))
+            mon = unmixed(make_params(variant=variant, **point))
             assert mon.Q_0z_M0 == mon.Q_0z_M1 == mon.Q_1z_M0 == mon.Q_1z_M1
 
 
@@ -189,46 +202,55 @@ def test_nonclassical_in_unit_interval_on_grid():
 
 
 def test_misalignment_identity_at_zero():
-    mon = monitoring_gains_ideal(make_params(p_d=1e-8))
-    assert apply_misalignment(mon, 0.0) == mon
+    # at e_a = 0 the monitoring gains are the unmixed closed forms, exactly
+    for variant in ("passive", "active"):
+        params = make_params(p_d=1e-8, e_a=0.0, variant=variant)
+        eta = total_transmittance(params)
+        gains = full_gain_set(params)
+        q_logic = _routed_floats(_logic_monitoring_gain, params, eta)
+        q_aa_m0, q_aa_m1, q_00 = _routed_floats(_decoy_monitoring_gains, params, eta)
+        assert gains.Q_0z_M0 == gains.Q_0z_M1 == gains.Q_1z_M0 == gains.Q_1z_M1 == q_logic
+        assert (gains.Q_aa_M0, gains.Q_aa_M1) == (q_aa_m0, q_aa_m1)
+        assert gains.Q_00_M0 == gains.Q_00_M1 == q_00
+        assert (gains.Q_0x_M0, gains.Q_0x_M1) == nonclassical_gains_ideal(params)
 
 
 def test_misalignment_conserves_pair_sums():
     params = make_params(p_d=1e-7, e_a=0.0)
-    mon = monitoring_gains_ideal(params)
+    mon = unmixed(params)
     for e_a in (0.01, 0.05, 0.3, 0.49):
-        mixed = apply_misalignment(mon, e_a)
-        for m0, m1 in (("Q_0z_M0", "Q_0z_M1"), ("Q_1z_M0", "Q_1z_M1"),
-                       ("Q_aa_M0", "Q_aa_M1"), ("Q_00_M0", "Q_00_M1")):
+        mixed = full_gain_set(replace(params, e_a=e_a))
+        for m0, m1 in MONITORING_PAIRS:
             before = getattr(mon, m0) + getattr(mon, m1)
             after = getattr(mixed, m0) + getattr(mixed, m1)
             assert after == pytest.approx(before, rel=1e-14)
 
 
 def test_misalignment_fixes_equal_pairs():
-    mon = monitoring_gains_ideal(make_params(p_d=1e-8))
+    params = make_params(p_d=1e-8)
+    mon = unmixed(params)
     for e_a in (0.02, 0.2, 0.45):
-        mixed = apply_misalignment(mon, e_a)
+        mixed = full_gain_set(replace(params, e_a=e_a))
         assert mixed.Q_0z_M0 == pytest.approx(mon.Q_0z_M0, rel=1e-15)
         assert mixed.Q_0z_M1 == pytest.approx(mon.Q_0z_M1, rel=1e-15)
+        assert mixed.Q_00_M0 == pytest.approx(mon.Q_00_M0, rel=1e-15)
 
 
 def test_misalignment_mixes_nonclassical_pair_when_present():
+    # the Q_0x pair is always present and mixed like the others
     params = make_params(p_d=1e-8)
     q_m0, q_m1 = nonclassical_gains_ideal(params)
-    mon = monitoring_gains_ideal(params)
-    mon = MonitoringGains(**{**mon.__dict__, "Q_0x_M0": q_m0, "Q_0x_M1": q_m1})
-    mixed = apply_misalignment(mon, 0.1)
+    mixed = full_gain_set(replace(params, e_a=0.1))
     assert mixed.Q_0x_M0 == pytest.approx(0.9 * q_m0 + 0.1 * q_m1, rel=1e-14)
     assert mixed.Q_0x_M1 == pytest.approx(0.9 * q_m1 + 0.1 * q_m0, rel=1e-14)
 
 
 def test_misalignment_rejects_out_of_range():
-    mon = monitoring_gains_ideal(make_params())
-    with pytest.raises(ValueError):
-        apply_misalignment(mon, 0.5)
-    with pytest.raises(ValueError):
-        apply_misalignment(mon, -0.01)
+    # e_a enters the gains only through SystemParams, which holds it in [0, 0.5)
+    with pytest.raises(ParameterError, match="e_a"):
+        make_params(e_a=0.5)
+    with pytest.raises(ParameterError, match="e_a"):
+        make_params(e_a=-0.01)
 
 
 def test_data_line_no_error_sources_means_no_wrong_clicks():
@@ -305,4 +327,9 @@ def test_gain_set_rejects_out_of_range_fields():
     with pytest.raises(ValueError):
         GainSet(Q_0z_T0=1.2, Q_0z_T1=0.0, Q_1z_T0=0.0, Q_1z_T1=0.1,
                 Q_0z_M0=0.1, Q_0z_M1=0.1, Q_1z_M0=0.1, Q_1z_M1=0.1,
-                Q_aa_M0=0.1, Q_aa_M1=0.1, Q_00_M0=0.1, Q_00_M1=0.1)
+                Q_aa_M0=0.1, Q_aa_M1=0.1, Q_00_M0=0.1, Q_00_M1=0.1,
+                Q_0x_M0=0.1, Q_0x_M1=0.1)
+    with pytest.raises(TypeError):  # the Q_0x pair is required
+        GainSet(**dict.fromkeys(("Q_0z_T0", "Q_0z_T1", "Q_1z_T0", "Q_1z_T1", "Q_0z_M0",
+                                 "Q_0z_M1", "Q_1z_M0", "Q_1z_M1", "Q_aa_M0", "Q_aa_M1",
+                                 "Q_00_M0", "Q_00_M1"), 0.1))

@@ -9,7 +9,7 @@ import cowqkd.optimize as optimize
 from cowqkd import ParameterError, Protocol, ScanConfig, evaluate_point, optimize_point, scan
 from cowqkd.optimize import _LOOKAHEAD, FLAG_NO_POSITIVE_RATE, _golden_max, _objective_surface
 from cowqkd.params import Variant, total_transmittance
-from conftest import make_params
+from conftest import make_params, stepwise_point
 
 
 def reference_config(**overrides):
@@ -36,7 +36,7 @@ def test_vector_and_scalar_paths_agree_exactly():
     surface = _objective_surface(base, total_transmittance(base), mu_mesh, tb_mesh,
                                  config.protocol)
     for i, j in ((0, 0), (30, 20), (45, 48), (59, 10)):
-        point = evaluate_point(replace(base, mu=float(mu_grid[i]), t_B=float(tb_grid[j])))
+        point = stepwise_point(replace(base, mu=float(mu_grid[i]), t_B=float(tb_grid[j])))
         assert point.R == float(surface[i, j])
 
     # 2e4 seeded random points, with mu below 0.03 where most COW rates are
@@ -53,7 +53,7 @@ def test_vector_and_scalar_paths_agree_exactly():
             r = _objective_surface(site, eta, mu, t_b, Protocol.COW)
             r_tilde = _objective_surface(site, eta, mu, t_b, Protocol.NONCLASSICAL)
             for k in range(mu.size):
-                point = evaluate_point(replace(site, mu=float(mu[k]), t_B=float(t_b[k])))
+                point = stepwise_point(replace(site, mu=float(mu[k]), t_B=float(t_b[k])))
                 if (point.R, point.R_tilde) != (r[k], r_tilde[k]):
                     mismatches.append((variant, L, float(mu[k]), float(t_b[k])))
     assert mismatches == []
@@ -236,7 +236,7 @@ def reference_scan(base, config):
                     t_b, r = _golden_max_scalar(lambda x: rate(best_mu, x), tb_lo, tb_hi)
                     if r > best_rate:
                         best_rate, best_tb = r, t_b
-        points.append(evaluate_point(replace(site, mu=best_mu, t_B=best_tb), config.protocol))
+        points.append(stepwise_point(replace(site, mu=best_mu, t_B=best_tb), config.protocol))
     return points
 
 
@@ -253,7 +253,7 @@ def test_active_rows_keep_tb_max():
                               protocol=Protocol.NONCLASSICAL)
     [point] = scan(base, config)
     assert point.tB_opt == config.tb_max and point.R_tilde > 0.0
-    assert point == evaluate_point(replace(base, mu=point.mu_opt, t_B=point.tB_opt),
+    assert point == stepwise_point(replace(base, mu=point.mu_opt, t_B=point.tB_opt),
                                    config.protocol)
     eta = total_transmittance(base)
     t_b, r = _golden_max_scalar(
@@ -411,3 +411,21 @@ def test_scan_raises_what_a_per_row_evaluate_point_loop_raises():
                 for L in distances])
             assert per_row is not None and expected in per_row[1], per_row
             assert _error(lambda: scan(base, config)) == per_row, (overrides, protocol)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluate_point_raises_what_the_public_steps_raise():
+    # one point per check, in the order of the public steps: the unmixed
+    # Q_aa_M0 > 1, the Cauchy bound and the gains overflowing, no data-line
+    # clicks, and no monitoring clicks ((1 - t_B) mu eta / 2 underflows to 0)
+    cases = [(make_params(L_km=20.0, mu=5.0, t_B=0.016, e_a=0.05), "Q_aa_M0 must be a probability"),
+             (make_params(mu=800.0), "overflows the Cauchy bound"),
+             (make_params(mu=1e4, t_B=0.01), "overflows the gain Q_0x_M0"),
+             (make_params(L_km=1e5, p_d=0.0, variant="active"), "all data-line gains are zero"),
+             (make_params(L_km=0.0, eta_d=1.0, p_d=0.0, mu=1e-308, t_B=1.0 - 2.0 ** -53),
+              "all logic-sequence monitoring gains are zero")]
+    for params, expected in cases:
+        for protocol in Protocol:
+            raised = _error(lambda: evaluate_point(params, protocol))
+            assert raised is not None and expected in raised[1], raised
+            assert raised == _error(lambda: stepwise_point(params, protocol)), (params, protocol)

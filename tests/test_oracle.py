@@ -14,7 +14,6 @@ from cowqkd import (
     estimate_data_gains,
     estimate_monitoring_gains,
     run_verification,
-    sample_click,
     sample_clicks,
     total_transmittance,
 )
@@ -45,15 +44,15 @@ def within_sigma(estimate, expected, n, k=4.0):
 
 def test_sample_click_never_fires_without_light_or_darks():
     rng = rng_for_tests()
-    assert not any(sample_click(0.0, 0.0, rng) for _ in range(1000))
+    assert not any(sample_clicks(0.0, 0.0, 1, rng)[0] for _ in range(1000))
     assert not sample_clicks(0.0, 0.0, 10_000, rng).any()
 
 
 def test_sample_click_rejects_negative_intensity():
     with pytest.raises(ValueError):
-        sample_click(-0.1, 0.0, rng_for_tests())
+        sample_clicks(-0.1, 0.0, 1, rng_for_tests())
     with pytest.raises(ValueError):
-        sample_click(float("nan"), 0.0, rng_for_tests())
+        sample_clicks(float("nan"), 0.0, 1, rng_for_tests())
 
 
 def test_click_frequency_poisson_light():
@@ -84,9 +83,9 @@ def test_certain_dark_counts_click_every_trial():
 
 def test_sample_click_single_trial_frequency():
     rng = rng_for_tests()
-    assert sample_click(0.0, 1.0, rng)
+    assert sample_clicks(0.0, 1.0, 1, rng)[0]
     trials = 4000
-    hits = sum(sample_click(1.0, 0.0, rng) for _ in range(trials))
+    hits = sum(sample_clicks(1.0, 0.0, 1, rng)[0] for _ in range(trials))
     assert within_sigma(hits / trials, 1 - math.exp(-1.0), trials)
 
 

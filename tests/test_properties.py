@@ -1,7 +1,8 @@
 """Property tests: the array path equals the scalar chain bit for bit.
 
-The scan's grid, refinement and rows evaluate the chain on arrays, and the
-``point`` report and the library evaluate the same kernels on scalars.
+The scan's grid, refinement and rows evaluate the chain on arrays, and
+``evaluate_point`` and the ``point`` report on one point's floats.  The
+reference is the public step API, one call at a time (``stepwise_point``).
 Hypothesis draws operating points over the validated parameter space (p_d and
 e_a include 0, mu spans 1e-5 to 30, L spans 0 to 300 km, both variants and
 both protocols) and requires identical floats on every path, and identical
@@ -21,6 +22,7 @@ from cowqkd import Protocol, ScanConfig, SystemParams, evaluate_point, scan
 from cowqkd.cli import main
 from cowqkd.optimize import _objective_surface
 from cowqkd.params import total_transmittance
+from conftest import stepwise_point
 from test_optimize import reference_scan
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -45,9 +47,9 @@ _settings = st.tuples(_log_uniform(1e-5, 30.0), st.floats(0.001, 0.999))
 
 
 def _valid_point(params: SystemParams):
-    """evaluate_point at params, or None where it rejects them (e.g. Q_aa_M0 > 1)."""
+    """stepwise_point at params, or None where it rejects them (e.g. Q_aa_M0 > 1)."""
     try:
-        return evaluate_point(params)
+        return stepwise_point(params)
     except ValueError:
         return None
 
@@ -81,7 +83,7 @@ def test_point_report_equals_evaluate_point(link, setting, protocol):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     try:
-        point = evaluate_point(params, protocol)
+        point = stepwise_point(params, protocol)
     except ValueError as exc:
         assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {exc}\n")
         return
@@ -97,6 +99,16 @@ def _outcome(run):
         return run()
     except ValueError as exc:
         return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(link=_links, setting=_settings, protocol=st.sampled_from(list(Protocol)))
+def test_evaluate_point_equals_stepwise_point(link, setting, protocol):
+    # the same RatePoint, or the same error type and message
+    params = SystemParams(mu=setting[0], t_B=setting[1], **link)
+    with np.errstate(all="ignore"):
+        assert _outcome(lambda: evaluate_point(params, protocol)) == _outcome(
+            lambda: stepwise_point(params, protocol))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

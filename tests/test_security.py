@@ -4,14 +4,12 @@ import pytest
 
 from cowqkd import (
     BoundPair,
-    ErrorRates,
     NoDetectionError,
     NoMonitoringDetectionError,
     azuma_deviation,
     binary_entropy,
     bit_error_x,
     bit_error_z,
-    error_rates,
     full_gain_set,
     gain_bounds,
     key_rate_cow,
@@ -24,7 +22,7 @@ from cowqkd.gains import GainSet
 from conftest import make_params
 
 
-def gain_set(t0=0.1, t1=0.0, t2=0.0, t3=0.1, mon=0.01, q0x=(None, None),
+def gain_set(t0=0.1, t1=0.0, t2=0.0, t3=0.1, mon=0.01, q0x=(0.0, 0.0),
              aa=(0.01, 0.0), vac=(0.0, 0.0)):
     return GainSet(
         Q_0z_T0=t0, Q_0z_T1=t1, Q_1z_T0=t2, Q_1z_T1=t3,
@@ -191,30 +189,6 @@ def test_bit_error_x_direct_plug_in():
     gains = gain_set(mon=mon, q0x=(0.0, q0x_m1))
     expected = (n_plus * q0x_m1 + 4 * mon) / (8 * mon)
     assert bit_error_x(gains, mu) == pytest.approx(expected, rel=1e-14)
-
-
-def test_bit_error_x_requires_nonclassical_gains():
-    with pytest.raises(ValueError):
-        bit_error_x(gain_set(q0x=(None, None)), mu=0.1)
-
-
-def test_error_rates_bundle_matches_individual_calls():
-    params = make_params(mu=0.0037, t_B=0.48, e_a=0.02)
-    gains = full_gain_set(params)
-    bounds = gain_bounds(gains.Q_aa_M0, gains.Q_aa_M1, gains.Q_00_M0,
-                         gains.Q_00_M1, params.mu)
-    rates = error_rates(gains, bounds, params.mu)
-    assert rates.E_b == bit_error_z(gains)[0]
-    assert rates.E_p_u == phase_error_upper(gains, bounds, params.mu)
-    assert rates.E_x == bit_error_x(gains, params.mu)
-    assert rates.E_p_u >= rates.E_x
-
-
-def test_error_rates_validation():
-    with pytest.raises(ValueError):
-        ErrorRates(E_b=-0.1, E_p_u=0.2)
-    with pytest.raises(ValueError):
-        ErrorRates(E_b=0.1, E_p_u=0.6)
 
 
 def test_phase_error_dominates_x_error_on_honest_channel():
