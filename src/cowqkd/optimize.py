@@ -5,14 +5,14 @@ mu grid times a linear t_B grid (for the active variant, whose rate is t_B
 times a t_B-free bracket, on the t_B = tb_max column of many distances at
 once), then the incumbents of all distances are polished together by
 coordinate-wise golden-section passes that run in lockstep.  One objective
-call over every distance evaluates all the points that the next four steps
-could probe, and a pass is skipped when it could not move.  The rows come
-from one array pass over every distance.  All of these, and
-``evaluate_point`` on one point's floats, run the one rate chain
-(:func:`_rate_chain`).  A distance's result equals what a scalar step-by-step
-search at that distance alone would give.  Everything is deterministic; ties
-resolve to the smallest mu, then the smallest t_B, and a NaN grid cell never
-wins.
+call over a block of distances, no larger than one grid, evaluates all the
+points that the next four steps could probe, and a pass is skipped when it
+could not move.  The rows come from one array pass over every distance.  All
+of these, and ``evaluate_point`` on one point's floats, run the one rate
+chain (:func:`_rate_chain`).  A distance's result equals what a scalar
+step-by-step search at that distance alone would give.  Everything is
+deterministic; ties resolve to the smallest mu, then the smallest t_B, and a
+NaN grid cell never wins.
 """
 
 from __future__ import annotations
@@ -336,15 +336,16 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     its neighbouring grid cells are kept.  The active rate is t_B times a
     t_B-free bracket, so without ``tb_fixed`` an active scan grids only the
     ``tb_max`` column, ``n_tb`` distances per call, keeps the full grid's
-    incumbent, and runs no t_B pass.  Then every distance with a positive grid
-    rate is refined at once: ``refine_iters`` rounds of coordinate-wise
-    golden-section passes (log-space for mu), bracketed by those neighbours,
-    with one objective call over all these distances per four steps (see
-    :func:`_golden_max`).  A pass runs only if it has not run yet or the other
-    coordinate has moved since, as a rerun could not win.  A refined value
-    never falls below its grid incumbent, and a row does not depend on the
-    other distances.  The rows, from one array pass (see :func:`_rows`), equal
-    :func:`evaluate_point` at each optimum, errors included.
+    incumbent, and runs no t_B pass.  Then the distances with a positive grid
+    rate are refined together, in blocks no larger than one grid's cells:
+    ``refine_iters`` rounds of coordinate-wise golden-section passes (log-space
+    for mu), bracketed by those neighbours, with one objective call over the
+    block per four steps (see :func:`_golden_max`).  In a block, a pass runs
+    only if it has not run yet or the other coordinate has moved since, as a
+    rerun could not win.  A refined value never falls below its grid
+    incumbent, and a row does not depend on the other distances.  The rows,
+    from one array pass (see :func:`_rows`), equal :func:`evaluate_point` at
+    each optimum, errors included.
 
     Zero-rate points are flagged, never fatal: a scan always spans its full
     distance list.
@@ -376,32 +377,36 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     best_tb = tb_grid[i_tb]
 
     live = np.flatnonzero(best_rate > 0.0)
-    if live.size:
-        eta_live = eta[live]
-        rate, mu, t_b = best_rate[live], best_mu[live], best_tb[live]
-        log_mu_lo = _log(mu_grid[np.maximum(i_mu[live] - 1, 0)])
-        log_mu_hi = _log(mu_grid[np.minimum(i_mu[live] + 1, len(mu_grid) - 1)])
-        tb_lo = tb_grid[np.maximum(i_tb[live] - 1, 0)]
-        tb_hi = tb_grid[np.minimum(i_tb[live] + 1, len(tb_grid) - 1)]
+    # A lookahead call probes 2**_LOOKAHEAD - 1 points per distance, so a
+    # block of this many distances holds no more cells than one grid.
+    per_block = max(1, config.n_mu * config.n_tb // (2 ** _LOOKAHEAD - 1))
+    mu_free, tb_free = config.mu_fixed is None, config.tb_fixed is None and not active
+    for start in range(0, live.size, per_block):
+        block = live[start:start + per_block]
+        eta_block = eta[block]
+        rate, mu, t_b = best_rate[block], best_mu[block], best_tb[block]
+        log_mu_lo = _log(mu_grid[np.maximum(i_mu[block] - 1, 0)])
+        log_mu_hi = _log(mu_grid[np.minimum(i_mu[block] + 1, len(mu_grid) - 1)])
+        tb_lo = tb_grid[np.maximum(i_tb[block] - 1, 0)]
+        tb_hi = tb_grid[np.minimum(i_tb[block] + 1, len(tb_grid) - 1)]
         # A pass is due until it has run, and again once the other coordinate
         # moves: rerun on an unchanged objective and bracket, it could not win.
-        mu_free, tb_free = config.mu_fixed is None, config.tb_fixed is None and not active
         mu_due, tb_due = mu_free, tb_free
         for _ in range(config.refine_iters):
             if mu_due:
                 log_mu, new = _golden_max(
-                    lambda x: _objective_surface(base_params, eta_live, _exp(x), t_b, protocol),
+                    lambda x: _objective_surface(base_params, eta_block, _exp(x), t_b, protocol),
                     log_mu_lo, log_mu_hi)
                 better = new > rate
                 rate, mu = np.where(better, new, rate), np.where(better, _exp(log_mu), mu)
                 mu_due, tb_due = False, tb_due or (tb_free and bool(better.any()))
             if tb_due:
                 new_tb, new = _golden_max(
-                    lambda x: _objective_surface(base_params, eta_live, mu, x, protocol),
+                    lambda x: _objective_surface(base_params, eta_block, mu, x, protocol),
                     tb_lo, tb_hi)
                 better = new > rate
                 rate, t_b = np.where(better, new, rate), np.where(better, new_tb, t_b)
                 tb_due, mu_due = False, mu_free and bool(better.any())
-        best_mu[live], best_tb[live] = mu, t_b
+        best_mu[block], best_tb[block] = mu, t_b
 
     return _rows(base_params, sites, eta, best_mu, best_tb, protocol)

@@ -288,12 +288,15 @@ def test_lockstep_scan_matches_scalar_reference_exactly():
 def test_scan_memory_is_per_distance():
     # passive: one 60 x 49 surface and its temporaries at a time, never one per
     # distance; active: one tb_max column of 49 distances x 60 mu at a time, where
-    # a column of all 3001 distances would take about 29 MB.  These run to
-    # 1500 km, so few rows are refined, and the rows (3001 RatePoints, about
-    # 1.4 MB) and their one array pass take most of the active scan's 2.8 MB.
-    for variant, n_distances in (("passive", 301), ("active", 3001)):
+    # a column of all 3001 distances would take about 29 MB.  The 0.5 km scans
+    # run to 1500 km, so few rows are refined, and the rows (3001 RatePoints,
+    # about 1.4 MB) and their one array pass take most of the active scan's
+    # 2.8 MB.  The 0.05 km scan refines 2332 rows, in blocks of 196 distances x
+    # 15 probes; refined all at once, they peaked at 9.8 MB.
+    for variant, n_distances, step in (("passive", 301, 0.5), ("active", 3001, 0.5),
+                                       ("active", 3001, 0.05)):
         base = make_params(variant=variant)
-        config = reference_config(L_values=tuple(0.5 * k for k in range(n_distances)))
+        config = reference_config(L_values=tuple(step * k for k in range(n_distances)))
         scan(base, reference_config())  # warm-up outside the traced region
         tracemalloc.start()
         try:
@@ -301,7 +304,7 @@ def test_scan_memory_is_per_distance():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4e6, variant
+        assert peak < 4e6, (variant, step)
 
 
 def _recorded(f):
@@ -350,12 +353,12 @@ def test_lookahead_probes_match_scalar_search():
 
 
 def test_scan_objective_call_budget(monkeypatch):
-    calls = []
+    cells = []
     surface = optimize._objective_surface
 
-    def counted(*args):
-        calls.append(None)
-        return surface(*args)
+    def counted(base, eta, mu, t_b, protocol):
+        cells.append(np.broadcast(eta, mu, t_b).size)
+        return surface(base, eta, mu, t_b, protocol)
     monkeypatch.setattr(optimize, "_objective_surface", counted)
     distances = tuple(float(L) for L in range(0, 151, 5))
     n_l = len(distances)
@@ -373,11 +376,17 @@ def test_scan_objective_call_budget(monkeypatch):
         cases.append((variant, {"tb_fixed": 0.37, "refine_iters": 5}, n_l, 1))
     for variant, overrides, grid_calls, n_passes in cases:
         for protocol in Protocol:
-            calls.clear()
-            scan(make_params(variant=variant),
-                 reference_config(L_values=distances, protocol=protocol, **overrides))
+            cells.clear()
+            config = reference_config(L_values=distances, protocol=protocol, **overrides)
+            rows = scan(make_params(variant=variant), config)
+            # the refinement runs per block of live distances, 15 probes each,
+            # and no call holds more cells than one n_mu x n_tb grid
+            per_block = config.n_mu * config.n_tb // 15
+            blocks = math.ceil(sum(row.flag == "" for row in rows) / per_block)
+            assert max(cells) <= config.n_mu * config.n_tb, (variant, overrides)
             # the rows come from one array pass, not from objective calls
-            assert len(calls) <= grid_calls + n_passes * passes, (variant, overrides)
+            assert len(cells) <= grid_calls + n_passes * passes * blocks, (variant, overrides)
+            assert blocks == (2 if overrides == {"n_tb": 5} else 1)
 
 
 def _error(run):

@@ -20,10 +20,12 @@ from cowqkd import (
 from cowqkd.gains import two_detector_squash
 from cowqkd.oracle import (
     _TAIL_4SIGMA,
+    MIN_SAMPLES,
     OracleEstimate,
     _four_sigma_check,
     _poisson_quantile,
     _squash_counts,
+    default_verification_cases,
     model_monitoring_gains,
 )
 from conftest import make_params
@@ -121,6 +123,67 @@ def test_squash_counts_conserve_clicks(double_clicks):
     assert n_a + n_b == only_a + only_b + n_both
     assert n_a >= only_a and n_b >= only_b
     assert abs((n_a - only_a) - n_both / 2) <= 4 * math.sqrt(n_both / 4)
+
+
+# Squashed counts, round(estimate * n), of every gain of the default cases,
+# recorded before the sparse sequences were counted from their events.  They
+# come from Philox draws and integer counting, so they hold on every SIMD
+# dispatch level, and they pin the order of the draws.
+_GAIN_ORDER = ("Q_0z_T0", "Q_0z_T1", "Q_1z_T1", "Q_1z_T0", "Q_0z_M0", "Q_0z_M1",
+               "Q_1z_M0", "Q_1z_M1", "Q_aa_M0", "Q_aa_M1", "Q_00_M0", "Q_00_M1")
+_RECORDED_COUNTS = {
+    ('bright-darkfree', 20000, 1): (9244, 0, 9412, 0, 58, 68, 66, 46, 271, 0, 0, 0),
+    ('bright-darkfree', 20000, 97): (9238, 0, 9200, 0, 58, 60, 57, 70, 235, 0, 0, 0),
+    ('bright-darkfree', 500000, 1): (231656, 0, 233089, 0, 1552, 1573, 1584, 1651, 6369, 0, 0, 0),
+    ('bright-darkfree', 500000, 97): (232042, 0, 231828, 0, 1547, 1554, 1539, 1602, 6180, 0, 0, 0),
+    ('reference-point', 20000, 1): (270, 4, 257, 5, 29, 27, 34, 25, 130, 1, 0, 0),
+    ('reference-point', 20000, 97): (266, 3, 283, 6, 30, 29, 35, 33, 143, 0, 0, 0),
+    ('reference-point', 500000, 1): (6331, 129, 6275, 115, 787, 816, 806, 803, 3148, 56, 0, 0),
+    ('reference-point', 500000, 97): (6320, 117, 6405, 114, 790, 819, 815, 761, 3217, 65, 0, 0),
+    ('low-dark-passive', 20000, 1): (272, 0, 259, 0, 122, 121, 128, 137, 511, 0, 0, 0),
+    ('low-dark-passive', 20000, 97): (268, 0, 285, 0, 118, 125, 132, 115, 537, 0, 0, 0),
+    ('low-dark-passive', 500000, 1): (6384, 0, 6329, 0, 3124, 3210, 3154, 3128, 12552, 0, 0, 0),
+    ('low-dark-passive', 500000, 97): (6373, 2, 6459, 0, 3124, 3127, 3169, 3104, 12667, 0, 0, 0),
+    ('high-dark-passive', 20000, 1): (2632, 152, 2757, 135, 2966, 2916, 2941, 2953,
+                                      9685, 556, 24, 14),
+    ('high-dark-passive', 20000, 97): (2671, 176, 2724, 152, 2973, 2928, 2961, 2995,
+                                       9524, 531, 22, 20),
+    ('high-dark-passive', 500000, 1): (66258, 4037, 66364, 3972, 73904, 74073, 74672, 74051,
+                                       238876, 13280, 468, 454),
+    ('high-dark-passive', 500000, 97): (66268, 3959, 66414, 3938, 73969, 74153, 74535, 74490,
+                                        238744, 13390, 457, 474),
+    ('active-switch', 20000, 1): (53, 1, 63, 1, 46, 51, 51, 59, 202, 3, 0, 0),
+    ('active-switch', 20000, 97): (62, 2, 71, 0, 47, 40, 53, 58, 218, 1, 0, 0),
+    ('active-switch', 500000, 1): (1380, 20, 1519, 9, 1222, 1215, 1176, 1307, 4898, 49, 1, 1),
+    ('active-switch', 500000, 97): (1511, 12, 1450, 8, 1226, 1242, 1253, 1210, 4982, 57, 1, 1),
+}
+
+
+def test_default_case_counts_equal_the_recorded_draws():
+    # bright-darkfree and high-dark-passive mix mask-counted and event-counted
+    # sequences; the other three cases are event-counted throughout
+    cases = dict(default_verification_cases())
+    for (label, n, seed), recorded in _RECORDED_COUNTS.items():
+        params = cases[label]
+        est = {**estimate_data_gains(params, n, seed), **estimate_monitoring_gains(params, n, seed)}
+        counts = {name: round(est[name].estimate * n) for name in _GAIN_ORDER}
+        assert counts == dict(zip(_GAIN_ORDER, recorded)), (label, n, seed)
+
+
+def test_sparse_sequence_memory_follows_its_events():
+    # reference-point's monitoring line has about 0.2-0.6% click events per
+    # trial; its sequences are counted from event indices (tens of kB), never
+    # from n-length masks (2 MB each at this size)
+    n = 2_000_000
+    params = dict(default_verification_cases())["reference-point"]
+    estimate_monitoring_gains(params, MIN_SAMPLES, seed=1)  # warm-up outside the traced region
+    tracemalloc.start()
+    try:
+        estimate_monitoring_gains(params, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n / 4, peak
 
 
 # ---------------------------------------------------------------------------

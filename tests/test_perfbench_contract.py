@@ -6,10 +6,14 @@ ops, every step before that line that reaches into cowqkd: the environment
 line, each workload's self-test, one traced pass per workload and the
 per-layer metrics built from it.  It runs in a subprocess, because importing
 perfbench/run.py pins the math libraries' thread counts for the whole
-process.  A binding that perfbench reports as missing is allowed: that is
-how perfbench is meant to report a vanished layer.  Every metric must be
+process.  A binding that perfbench reports as missing is allowed there: that
+is how perfbench is meant to report a vanished layer.  Every metric must be
 finite, because ``json.dumps`` writes NaN and infinity as bare ``NaN`` and
 ``Infinity``, which strict JSON readers reject.
+
+Short full runs of every workload, traced and untraced, must end in a strict
+JSON result that carries exactly the metrics BENCHMARK.json declares for that
+mode, so a metric dropped with a vanished binding fails here.
 """
 
 import json
@@ -18,7 +22,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 SCRIPT = """
 import json
@@ -72,6 +79,9 @@ def _assert_run_ends_in_a_strict_json_result(workload, trace, seconds="0.2"):
     assert result["correct"] is True and result["failed"] == 0, result
     for name, metric in result["metrics"].items():
         assert math.isfinite(metric["value"]), (name, metric)
+    # a traced run reports the per-layer metrics, an untraced one the end-to-end ones
+    declared = DECLARED["per_layer" if trace == "1" else "end_to_end"]
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in declared), result["metrics"]
     return done.stdout
 
 
@@ -87,3 +97,10 @@ def test_traced_scan_run_ends_in_a_strict_json_result():
 def test_verify_run_ends_in_a_strict_json_result():
     # verify's correct flag rests on the oracle's 4-sigma gate
     _assert_run_ends_in_a_strict_json_result("verify", "0")
+
+
+@pytest.mark.parametrize("workload, trace", [("scan", "0"), ("point", "0"), ("point", "1"),
+                                             ("verify", "1")])
+def test_run_reports_every_declared_metric(workload, trace):
+    # with the two tests above, every workload runs traced and untraced
+    _assert_run_ends_in_a_strict_json_result(workload, trace)

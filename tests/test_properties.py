@@ -7,17 +7,22 @@ Hypothesis draws operating points over the validated parameter space (p_d and
 e_a include 0, mu spans 1e-5 to 30, L spans 0 to 300 km, both variants and
 both protocols) and requires identical floats on every path, and identical
 active scans from the tb_max column grid and from the full grid with a scalar
-golden-section mu pass.  Runs are derandomized, so a failure reproduces.
+golden-section mu pass.  The oracle's event-counted sequences give the
+counts of its mask-counted ones, on drawn event multisets and on whole seeded
+sequences.  Runs are derandomized, so a failure reproduces.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import cowqkd.oracle as oracle
 from cowqkd import Protocol, ScanConfig, SystemParams, evaluate_point, scan
 from cowqkd.cli import main
 from cowqkd.optimize import _objective_surface
@@ -132,3 +137,46 @@ def test_active_scan_equals_reference_scan(link, distances, mu_box, tb_box, n_tb
     with np.errstate(all="ignore"):
         assert _outcome(lambda: scan(base, config)) == _outcome(
             lambda: reference_scan(base, config))
+
+
+@st.composite
+def _click_events(draw):
+    """(n, [(dark, photons)] for two detectors): dark trials distinct, photon trials repeating."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(1, 300)))
+    trial = st.integers(0, n - 1)
+    events = []
+    for _ in range(2):
+        dark = draw(st.lists(trial, unique=True, max_size=n))
+        photons = draw(st.lists(trial, max_size=2 * n))
+        events.append((np.array(dark, dtype=np.int64), np.array(photons, dtype=np.int64)))
+    return n, events
+
+
+@PROPERTY_SETTINGS
+@given(sequence=_click_events())
+def test_event_counts_equal_mask_counts(sequence):
+    n, events = sequence
+    masks = []
+    for dark, photons in events:
+        clicks = np.zeros(n, dtype=bool)
+        clicks[dark] = True
+        clicks[photons] = True
+        masks.append(clicks)
+    a, b = masks
+    expected = (np.count_nonzero(a), np.count_nonzero(b), np.count_nonzero(a & b))
+    trials = [oracle._distinct_trials(dark, photons) for dark, photons in events]
+    assert oracle._event_counts(*trials) == expected
+
+
+@PROPERTY_SETTINGS
+@given(lambdas=st.tuples(*[st.one_of(st.just(0.0), _log_uniform(1e-4, 3.0))] * 2),
+       p_d=st.one_of(st.just(0.0), _log_uniform(1e-6, 1.0)), n=st.integers(0, 3000),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_both_counting_routes_give_the_same_sequence_counts(lambdas, p_d, n, seed):
+    # each route forced in turn, on the same substream
+    counts = []
+    for route_max in (math.inf, 0.0):
+        rng = oracle._substream(seed, 0)
+        with mock.patch.object(oracle, "_EVENT_ROUTE_MAX", route_max):
+            counts.append(oracle._squashed_sequence(*lambdas, p_d, n, rng))
+    assert counts[0] == counts[1]
