@@ -11,15 +11,14 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gains import GainSet
 from .optimize import Protocol, ScanConfig, _point_record, optimize_point, scan
 from .params import ParameterError, SystemParams
 from .oracle import MIN_SAMPLES, VerificationReport, run_verification
-from .security import azuma_deviation
+from .security import _CHECKED, azuma_deviation
 
 __all__ = ["main", "app", "RunConfig", "parse_distance_range", "parse_config_file"]
 
@@ -230,7 +229,7 @@ def _point_report_lines(params: SystemParams) -> list[str]:
         f"t_B={params.t_B!r}",
         f"variant={params.variant.value}",
     ]
-    for name in (*(f.name for f in fields(GainSet)), "Q_0x_M1_upper", "Q_0x_M0_lower"):
+    for name in _CHECKED:
         lines.append(f"{name}={getattr(chain, name)!r}")
     lines += [
         f"Qz={point.Q_z!r}",
@@ -378,9 +377,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="rate to maximize")
 
     p_verify = sub.add_parser("verify", help="run the Monte-Carlo oracle comparisons")
-    _add_parameter_flags(p_verify)
     p_verify.add_argument("--seed", type=int, help="oracle seed")
     p_verify.add_argument("--samples", type=float, help="samples per estimated gain")
+    p_verify.add_argument("--config", help="flat key = value configuration file")
+    p_verify.add_argument("--out", help="output path (default: stdout)")
 
     p_fs = sub.add_parser("finite-size", help="concentration deviation for K rounds")
     p_fs.add_argument("--K", type=float, help="number of rounds")

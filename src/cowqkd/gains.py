@@ -22,9 +22,10 @@ extension are documented here:
 * misalignment on the monitoring line: uniform port cross-talk mixing of
   every (M0, M1) pair, which is exact at e_a = 0 and conserves pair sums.
 
-All kernels accept scalars or numpy arrays and evaluate elementwise, so
-``optimize._rate_chain``, on arrays or on one point's floats, and the
-scalar step API below produce bit-identical numbers.
+All kernels accept scalars or numpy arrays and evaluate elementwise.  One
+composition of them, ``_gain_record``, names every gain; ``full_gain_set``
+reads it on one point's floats and ``security._rate_chain`` on arrays or
+floats, so both produce bit-identical numbers.
 Scalars in give scalars out, never a 0-d array, whose per-call cost in numpy
 would dominate a single point; arrays broadcast.  Q_00 depends on p_d alone,
 so it stays a scalar on a (mu, t_B) grid.
@@ -131,14 +132,6 @@ def _routed(kernel, mu, t_b, eta, p_d, active):
     return gains / spectators
 
 
-def _routed_floats(kernel, params: SystemParams, eta: float):
-    """A monitoring kernel's unmixed, routed gains at params (total transmittance
-    eta), as Python floats."""
-    gains = _routed(kernel, params.mu, params.t_B, eta, params.p_d,
-                    params.variant is Variant.ACTIVE)
-    return tuple(map(float, gains)) if isinstance(gains, tuple) else float(gains)
-
-
 def two_detector_squash(intensity_a, intensity_b, p_d):
     """Click probabilities of a two-detector stage with random double-click assignment.
 
@@ -175,6 +168,34 @@ def _mix_pair(m0, m1, e_a):
     return (1.0 - e_a) * m0 + e_a * m1, (1.0 - e_a) * m1 + e_a * m0
 
 
+def _gain_record(mu, t_b, eta, p_d, e_a, active, decoy=True, nonclassical=True):
+    """(mixed gains keyed by GainSet field name, unmixed monitoring gains).
+
+    The one composition of the gain kernels, elementwise like them.  The
+    unmixed list is in the order full_gain_set checks it: Q_0z_M0, then
+    Q_aa_M0, Q_aa_M1, Q_00_M0 with ``decoy``, then Q_0x_M0, Q_0x_M1 with
+    ``nonclassical``; a branch left out has no gains in either.
+    """
+    q_correct, q_wrong = _data_line_pair(mu, t_b, eta, p_d, e_a, active)
+    q_logic = _routed(_logic_monitoring_gain, mu, t_b, eta, p_d, active)
+    # The logic pair is symmetric, but it is mixed anyway so that it rounds
+    # like the other pairs; the Q_1z pair equals the Q_0z pair.
+    q_m0, q_m1 = _mix_pair(q_logic, q_logic, e_a)
+    mixed = dict(Q_0z_T0=q_correct, Q_0z_T1=q_wrong, Q_1z_T0=q_wrong, Q_1z_T1=q_correct,
+                 Q_0z_M0=q_m0, Q_0z_M1=q_m1, Q_1z_M0=q_m0, Q_1z_M1=q_m1)
+    unmixed = [q_logic]
+    if decoy:
+        q_aa_m0, q_aa_m1, q_00 = _routed(_decoy_monitoring_gains, mu, t_b, eta, p_d, active)
+        unmixed += [q_aa_m0, q_aa_m1, q_00]
+        mixed["Q_aa_M0"], mixed["Q_aa_M1"] = _mix_pair(q_aa_m0, q_aa_m1, e_a)
+        mixed["Q_00_M0"], mixed["Q_00_M1"] = _mix_pair(q_00, q_00, e_a)
+    if nonclassical:
+        q_0x = _routed(_nonclassical_monitoring_gains, mu, t_b, eta, p_d, active)
+        unmixed += q_0x
+        mixed["Q_0x_M0"], mixed["Q_0x_M1"] = _mix_pair(*q_0x, e_a)
+    return mixed, unmixed
+
+
 # ---------------------------------------------------------------------------
 # public containers and operations
 # ---------------------------------------------------------------------------
@@ -182,14 +203,6 @@ def _mix_pair(m0, m1, e_a):
 def _check_probability(name: str, value: float) -> None:
     if not (0.0 <= value <= 1.0):  # also false for NaN and +-inf
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-
-
-def _check_ideal(gains, mu: float) -> None:
-    """Validate unmixed gains in order; overflow at huge mu is a ParameterError."""
-    for name, value in gains:
-        if not math.isfinite(value):
-            raise ParameterError(f"mu={mu!r} is too large: exp(mu) overflows the gain {name}")
-        _check_probability(name, value)
 
 
 @dataclass(frozen=True)
@@ -220,25 +233,29 @@ class GainSet:
             _check_probability(name, value)
 
 
+def _at(params: SystemParams):
+    """The kernels' link arguments (mu, t_b, eta, p_d, e_a, active) at params."""
+    return (params.mu, params.t_B, total_transmittance(params), params.p_d, params.e_a,
+            params.variant is Variant.ACTIVE)
+
+
 def nonclassical_gains_ideal(params: SystemParams) -> tuple[float, float]:
     """(Q_0x_M0, Q_0x_M1) of the even superposition mode at zero misalignment.
 
     The active variant routes the whole pulse, like its logic and decoy gains.
     """
-    return _routed_floats(_nonclassical_monitoring_gains, params, total_transmittance(params))
+    mu, t_b, eta, p_d, _, active = _at(params)
+    return tuple(map(float, _routed(_nonclassical_monitoring_gains, mu, t_b, eta, p_d, active)))
 
 
 def data_line_gains(params: SystemParams) -> tuple[float, float, float, float]:
     """(Q_0z_T0, Q_0z_T1, Q_1z_T0, Q_1z_T1) of the arrival-time measurement."""
-    q_correct, q_wrong = _data_line_floats(params, total_transmittance(params))
+    q_correct, q_wrong = map(float, _data_line_pair(*_at(params)))
     return q_correct, q_wrong, q_wrong, q_correct
 
 
-def _data_line_floats(params: SystemParams, eta: float) -> tuple[float, float]:
-    """(Q_correct, Q_wrong) at params (total transmittance eta) as Python floats."""
-    q_correct, q_wrong = _data_line_pair(params.mu, params.t_B, eta, params.p_d, params.e_a,
-                                         params.variant is Variant.ACTIVE)
-    return float(q_correct), float(q_wrong)
+# The unmixed monitoring gains of _gain_record, in its order.
+_UNMIXED = ("Q_0z_M0", "Q_aa_M0", "Q_aa_M1", "Q_00_M0", "Q_0x_M0", "Q_0x_M1")
 
 
 def full_gain_set(params: SystemParams) -> GainSet:
@@ -246,28 +263,16 @@ def full_gain_set(params: SystemParams) -> GainSet:
 
     Monitoring gains are the ideal closed forms with misalignment mixing
     applied; data-line gains carry the wrong-slot leakage directly.  Each
-    kernel runs once, at one total transmittance.  Validated in order: the
-    unmixed logic and decoy gains, then the unmixed Q_0x pair (a non-finite
-    one, from exp(mu) overflowing, is a ParameterError naming mu); then the
-    GainSet, i.e. the data-line and the mixed monitoring gains.  Mixing can
-    pull a gain above 1 back under it, so the unmixed checks are kept.
+    kernel runs once, at one total transmittance (:func:`_gain_record`).
+    Validated in order: the unmixed logic, decoy and Q_0x gains (a
+    non-finite one, from exp(mu) overflowing, is a ParameterError naming
+    mu); then the GainSet, i.e. the data-line and the mixed monitoring gains.
+    Mixing can pull a gain above 1 back under it, so the unmixed checks are
+    kept.
     """
-    mu, e_a = params.mu, params.e_a
-    eta = total_transmittance(params)
-    q_logic = _routed_floats(_logic_monitoring_gain, params, eta)
-    q_aa_m0, q_aa_m1, q_00 = _routed_floats(_decoy_monitoring_gains, params, eta)
-    _check_ideal((("Q_0z_M0", q_logic), ("Q_aa_M0", q_aa_m0), ("Q_aa_M1", q_aa_m1),
-                  ("Q_00_M0", q_00)), mu)
-    q_0x = _routed_floats(_nonclassical_monitoring_gains, params, eta)
-    _check_ideal(zip(("Q_0x_M0", "Q_0x_M1"), q_0x), mu)
-    q_z_m0, q_z_m1 = _mix_pair(q_logic, q_logic, e_a)
-    q_aa_m0, q_aa_m1 = _mix_pair(q_aa_m0, q_aa_m1, e_a)
-    q_00_m0, q_00_m1 = _mix_pair(q_00, q_00, e_a)
-    q_0x_m0, q_0x_m1 = _mix_pair(*q_0x, e_a)
-    q_correct, q_wrong = _data_line_floats(params, eta)
-    return GainSet(
-        Q_0z_T0=q_correct, Q_0z_T1=q_wrong, Q_1z_T0=q_wrong, Q_1z_T1=q_correct,
-        Q_0z_M0=q_z_m0, Q_0z_M1=q_z_m1, Q_1z_M0=q_z_m0, Q_1z_M1=q_z_m1,
-        Q_aa_M0=q_aa_m0, Q_aa_M1=q_aa_m1, Q_00_M0=q_00_m0, Q_00_M1=q_00_m1,
-        Q_0x_M0=q_0x_m0, Q_0x_M1=q_0x_m1,
-    )
+    mixed, unmixed = _gain_record(*_at(params))
+    for name, value in zip(_UNMIXED, map(float, unmixed)):
+        if not math.isfinite(value):
+            raise ParameterError(f"mu={params.mu!r} is too large: exp(mu) overflows the gain {name}")
+        _check_probability(name, value)
+    return GainSet(**{name: float(q) for name, q in mixed.items()})

@@ -9,48 +9,35 @@ call over a block of distances, no larger than one grid, evaluates all the
 points that the next four steps could probe, and a pass is skipped when it
 could not move.  The rows come from one array pass over every distance.  All
 of these, and ``evaluate_point`` on one point's floats, run the one rate
-chain (:func:`_rate_chain`).  A distance's result equals what a scalar
-step-by-step search at that distance alone would give.  Everything is
-deterministic; ties resolve to the smallest mu, then the smallest t_B, and a
-NaN grid cell never wins.
+chain, ``security._rate_chain``: this module only searches.  A distance's
+result equals what a scalar step-by-step search at that distance alone would
+give.  Everything is deterministic; ties resolve to the smallest mu, then the
+smallest t_B, and a NaN grid cell never wins.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NoReturn
 
 import numpy as np
 
-from .gains import (
-    GainSet,
-    _data_line_pair,
-    _decoy_monitoring_gains,
-    _logic_monitoring_gain,
-    _mix_pair,
-    _nonclassical_monitoring_gains,
-    _routed,
-    full_gain_set,
-)
+from .gains import full_gain_set
 from .params import ParameterError, SystemParams, Variant, channel_transmittance, total_transmittance
 from .security import (
     RatePoint,
-    _bit_error_x_kernel,
-    _bit_error_z_kernel,
-    _bounds_kernel,
-    _entropy_kernel,
-    _key_rate_kernel,
-    _phase_error_kernel,
-    _require_monitoring,
+    _Chain,
+    _RATES,
+    _accepted,
+    _rate_chain,
     bit_error_x,  # noqa: F401  unused; perfbench/tracing.py wraps it at this binding
     bit_error_z,
     gain_bounds,
     key_rate_cow,  # noqa: F401  likewise
     key_rate_nonclassical,  # noqa: F401  likewise
-    phase_error_upper,  # noqa: F401  likewise
+    phase_error_upper,
     plob_bound,
 )
 
@@ -128,90 +115,25 @@ class ScanConfig:
         return np.linspace(self.tb_min, self.tb_max, self.n_tb)
 
 
-# The chain's record, named like the public API: the GainSet's 14 gains and
-# the bound pair, which the public steps require in [0, 1]; the RatePoint's
-# rates; the pre-clamp E_p_u and E_x; and ``unmixed``, the monitoring gains
-# before mixing, which full_gain_set requires in [0, 1] too.  A protocol left
-# out has None for its gains, bound pair, error rates and rate.
-_CHECKED = (*(f.name for f in fields(GainSet)), "Q_0x_M1_upper", "Q_0x_M0_lower")
-_RATES = ("Q_z", "E_b", "E_p_u", "E_x", "R", "R_tilde")  # a RatePoint's, in its order
-_CHAIN_FIELDS = (*_CHECKED, *_RATES, "E_p_u_raw", "E_x_raw", "unmixed")
-_Chain = namedtuple("_Chain", _CHAIN_FIELDS, defaults=(None,) * len(_CHAIN_FIELDS))
-
-
-def _rate_chain(base: SystemParams, eta, mu, t_b, protocols) -> _Chain:
-    """The rate chain, elementwise over broadcastable eta, mu, t_B.
-
-    ``eta`` is the total transmittance; ``base`` supplies the other link
-    parameters and the variant, and its distance is not used.  Only the
-    phase-error branches of ``protocols`` run: the Cauchy bound for COW, the
-    superposition-mode gains for NONCLASSICAL.  On one point's Python floats
-    every value is a scalar.
-    """
-    p_d, e_a, f_ec = base.p_d, base.e_a, base.f_ec
-    active = base.variant is Variant.ACTIVE
-
-    q_correct, q_wrong = _data_line_pair(mu, t_b, eta, p_d, e_a, active)
-    e_z, q_z = _bit_error_z_kernel(q_correct, q_wrong, q_wrong, q_correct)
-    h_bit = _entropy_kernel(e_z)
-    q_logic = _routed(_logic_monitoring_gain, mu, t_b, eta, p_d, active)
-    # The logic pair is symmetric, but it is mixed anyway so this path is
-    # bit-identical to full_gain_set; the Q_1z pair equals the Q_0z pair.
-    q_m0, q_m1 = logic = _mix_pair(q_logic, q_logic, e_a)
-    record = dict(Q_0z_T0=q_correct, Q_0z_T1=q_wrong, Q_1z_T0=q_wrong, Q_1z_T1=q_correct,
-                  Q_0z_M0=q_m0, Q_0z_M1=q_m1, Q_1z_M0=q_m0, Q_1z_M1=q_m1, Q_z=q_z, E_b=e_z)
-    unmixed = [q_logic]
-    if Protocol.COW in protocols:
-        q_aa_m0, q_aa_m1, q_00 = _routed(_decoy_monitoring_gains, mu, t_b, eta, p_d, active)
-        unmixed += [q_aa_m0, q_aa_m1, q_00]
-        q_aa_m0, q_aa_m1 = _mix_pair(q_aa_m0, q_aa_m1, e_a)
-        q_00_m0, q_00_m1 = _mix_pair(q_00, q_00, e_a)
-        upper, lower = _bounds_kernel(q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu)
-        e_p_u_raw, e_p_u = _phase_error_kernel(*logic, *logic, upper, lower, mu)
-        record.update(Q_aa_M0=q_aa_m0, Q_aa_M1=q_aa_m1, Q_00_M0=q_00_m0, Q_00_M1=q_00_m1,
-                      Q_0x_M1_upper=upper, Q_0x_M0_lower=lower, E_p_u_raw=e_p_u_raw,
-                      E_p_u=e_p_u, R=_key_rate_kernel(q_z, _entropy_kernel(e_p_u), h_bit, f_ec))
-    if Protocol.NONCLASSICAL in protocols:
-        q_0x = _routed(_nonclassical_monitoring_gains, mu, t_b, eta, p_d, active)
-        unmixed += q_0x
-        q_0x_m0, q_0x_m1 = _mix_pair(*q_0x, e_a)
-        e_x_raw, e_x = _bit_error_x_kernel(*logic, *logic, q_0x_m0, q_0x_m1, mu)
-        record.update(Q_0x_M0=q_0x_m0, Q_0x_M1=q_0x_m1, E_x_raw=e_x_raw, E_x=e_x,
-                      R_tilde=_key_rate_kernel(q_z, _entropy_kernel(e_x), h_bit, f_ec))
-    return _Chain(unmixed=unmixed, **record)
-
-
-def _accepted(chain: _Chain):
-    """Where a chain of both protocols passes every check of the public steps.
-
-    Elementwise: the unmixed and the mixed gains and the bound pair lie in
-    [0, 1] (full_gain_set, gain_bounds), and there are data-line clicks
-    (bit_error_z) and monitoring clicks, which make every rate finite.
-    """
-    ok = (chain.Q_z > 0.0) & (chain.Q_0z_M0 + chain.Q_0z_M1 > 0.0)
-    for q in (*(getattr(chain, name) for name in _CHECKED), *chain.unmixed):
-        ok &= (0.0 <= q) & (q <= 1.0)  # also false for NaN and +-inf
-    return ok
-
-
 def _raise_rejection(params: SystemParams) -> NoReturn:
     """Raise the error of the first public step that rejects params.
 
     The steps run in their order: full_gain_set, bit_error_z, gain_bounds,
-    then the monitoring denominator.  They reject the points that
-    :func:`_accepted` rejects.
+    then phase_error_upper.  They reject the points that ``_accepted``
+    rejects.
     """
     gains = full_gain_set(params)
     bit_error_z(gains)
-    gain_bounds(gains.Q_aa_M0, gains.Q_aa_M1, gains.Q_00_M0, gains.Q_00_M1, params.mu)
-    _require_monitoring(gains)
+    bounds = gain_bounds(gains.Q_aa_M0, gains.Q_aa_M1, gains.Q_00_M0, gains.Q_00_M1, params.mu)
+    phase_error_upper(gains, bounds, params.mu)
     raise AssertionError(f"the chain rejects {params!r}, which every public step accepts")
 
 
 def _objective_surface(base: SystemParams, eta, mu, t_b, protocol: Protocol):
-    """Key rate of the requested protocol from one :func:`_rate_chain` pass."""
-    chain = _rate_chain(base, eta, mu, t_b, (protocol,))
-    return chain.R if protocol is Protocol.COW else chain.R_tilde
+    """Key rate of the requested protocol from one pass of the rate chain."""
+    cow = protocol is Protocol.COW
+    chain = _rate_chain(base, eta, mu, t_b, cow=cow, nonclassical=not cow)
+    return chain.R if cow else chain.R_tilde
 
 
 def _rate_point(L_km, eta_ch, eta_tot, mu, t_b, q_z, e_z, e_p_u, e_x, r_cow, r_tilde,
@@ -227,9 +149,9 @@ def _rate_point(L_km, eta_ch, eta_tot, mu, t_b, q_z, e_z, e_p_u, e_x, r_cow, r_t
 
 def _point_record(params: SystemParams,
                   protocol: Protocol = Protocol.COW) -> tuple[RatePoint, _Chain]:
-    """(RatePoint, the chain's record) of one scalar chain pass at params, both protocols."""
+    """(RatePoint, the chain's record) of one scalar chain pass at params, both branches."""
     eta = total_transmittance(params)
-    chain = _rate_chain(params, eta, params.mu, params.t_B, tuple(Protocol))
+    chain = _rate_chain(params, eta, params.mu, params.t_B)
     # On Python floats the kernels return numpy scalars, whose repr is
     # np.float64(...); the record holds floats (``unmixed`` is its last field).
     chain = _Chain(*map(float, chain[:-1]), unmixed=[float(q) for q in chain.unmixed])
@@ -243,7 +165,7 @@ def _point_record(params: SystemParams,
 def evaluate_point(params: SystemParams, protocol: Protocol = Protocol.COW) -> RatePoint:
     """Full pipeline at one fixed (mu, t_B): gains, error rates, and all rates.
 
-    The rate chain (:func:`_rate_chain`) on the point's floats.  A point that
+    The rate chain (``security._rate_chain``) on the point's floats.  A point that
     fails a check raises the error of the first public step that rejects it.
     """
     return _point_record(params, protocol)[0]
@@ -256,7 +178,7 @@ def _rows(base: SystemParams, sites: list[SystemParams], eta: np.ndarray, mu: np
     Each value is the scalar chain's, bit for bit, and the first row that
     fails a check raises evaluate_point's error.
     """
-    chain = _rate_chain(base, eta, mu, t_b, tuple(Protocol))
+    chain = _rate_chain(base, eta, mu, t_b)
     # row: eta_tot, mu, t_B, then the chain's Q_z, E_b, E_p_u, E_x, R, R_tilde
     columns = (eta, mu, t_b, *(getattr(chain, name) for name in _RATES))
     points = []

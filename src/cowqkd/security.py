@@ -1,7 +1,8 @@
 """Error rates, the phase-error upper bound, key rates, and reference bounds.
 
 All formulas are implemented once as elementwise kernels (scalar or ndarray).
-``optimize._rate_chain`` composes them for the grid, the scan rows and
+The rate chain ``_rate_chain`` composes them with the gains of
+``gains._gain_record``, for the search's grid, its rows and
 ``evaluate_point``; the public functions below are the same kernels one step
 at a time, so the two paths agree bit for bit.  As in ``gains``, scalars in
 give scalars out, never a 0-d array, and arrays broadcast.  Logarithms are
@@ -11,12 +12,13 @@ base 2 throughout and rates are per transmitted pulse pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gains import GainSet, _n_minus, _n_plus
-from .params import ParameterError
+from .gains import GainSet, _gain_record, _n_minus, _n_plus
+from .params import ParameterError, SystemParams, Variant
 
 __all__ = [
     "BoundPair",
@@ -163,6 +165,64 @@ def _bit_error_z_kernel(q_0z_t0, q_0z_t1, q_1z_t0, q_1z_t1):
 def _key_rate_kernel(q_z, h_phase, h_bit, f_ec):
     """max(0, Q_z (1 - h_phase - f_ec h_bit)) from the two binary entropies."""
     return np.maximum(0.0, q_z * (1.0 - h_phase - f_ec * h_bit))
+
+
+# ---------------------------------------------------------------------------
+# the rate chain
+# ---------------------------------------------------------------------------
+
+# The chain's record, named like the public API: the GainSet's 14 gains and
+# the bound pair, which the public steps require in [0, 1]; the RatePoint's
+# rates; the pre-clamp E_p_u and E_x; and ``unmixed``, the monitoring gains
+# before mixing, which full_gain_set requires in [0, 1] too.  A branch left
+# out has None for its gains, bound pair, error rates and rate.
+_CHECKED = (*(f.name for f in fields(GainSet)), "Q_0x_M1_upper", "Q_0x_M0_lower")
+_RATES = ("Q_z", "E_b", "E_p_u", "E_x", "R", "R_tilde")  # a RatePoint's, in its order
+_CHAIN_FIELDS = (*_CHECKED, *_RATES, "E_p_u_raw", "E_x_raw", "unmixed")
+_Chain = namedtuple("_Chain", _CHAIN_FIELDS, defaults=(None,) * len(_CHAIN_FIELDS))
+
+
+def _rate_chain(base: SystemParams, eta, mu, t_b, cow=True, nonclassical=True) -> _Chain:
+    """The rate chain, elementwise over broadcastable eta, mu, t_B.
+
+    ``eta`` is the total transmittance; ``base`` supplies the other link
+    parameters and the variant, and its distance is not used.  Only the
+    requested phase-error branches run: with ``cow`` the Cauchy bound and R,
+    with ``nonclassical`` the superposition-mode gains and R_tilde.  On one
+    point's Python floats every value is a scalar.
+    """
+    gains, unmixed = _gain_record(mu, t_b, eta, base.p_d, base.e_a,
+                                  base.variant is Variant.ACTIVE, cow, nonclassical)
+    e_z, q_z = _bit_error_z_kernel(gains["Q_0z_T0"], gains["Q_0z_T1"],
+                                   gains["Q_1z_T0"], gains["Q_1z_T1"])
+    h_bit = _entropy_kernel(e_z)
+    logic = gains["Q_0z_M0"], gains["Q_0z_M1"], gains["Q_1z_M0"], gains["Q_1z_M1"]
+    record = dict(gains, Q_z=q_z, E_b=e_z)
+    if cow:
+        upper, lower = _bounds_kernel(gains["Q_aa_M0"], gains["Q_aa_M1"],
+                                      gains["Q_00_M0"], gains["Q_00_M1"], mu)
+        e_p_u_raw, e_p_u = _phase_error_kernel(*logic, upper, lower, mu)
+        record.update(Q_0x_M1_upper=upper, Q_0x_M0_lower=lower, E_p_u_raw=e_p_u_raw, E_p_u=e_p_u,
+                      R=_key_rate_kernel(q_z, _entropy_kernel(e_p_u), h_bit, base.f_ec))
+    if nonclassical:
+        e_x_raw, e_x = _bit_error_x_kernel(*logic, gains["Q_0x_M0"], gains["Q_0x_M1"], mu)
+        record.update(E_x_raw=e_x_raw, E_x=e_x,
+                      R_tilde=_key_rate_kernel(q_z, _entropy_kernel(e_x), h_bit, base.f_ec))
+    return _Chain(unmixed=unmixed, **record)
+
+
+def _accepted(chain: _Chain):
+    """Where a chain of both branches passes every check of the public steps.
+
+    Elementwise: the unmixed and the mixed gains and the bound pair lie in
+    [0, 1] (full_gain_set, gain_bounds), and there are data-line clicks
+    (bit_error_z) and monitoring clicks (phase_error_upper), which make
+    every rate finite.
+    """
+    ok = (chain.Q_z > 0.0) & (chain.Q_0z_M0 + chain.Q_0z_M1 > 0.0)
+    for q in (*(getattr(chain, name) for name in _CHECKED), *chain.unmixed):
+        ok &= (0.0 <= q) & (q <= 1.0)  # also false for NaN and +-inf
+    return ok
 
 
 # ---------------------------------------------------------------------------

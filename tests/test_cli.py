@@ -309,6 +309,14 @@ def test_verify_rejects_negative_seed(capsys):
     assert "seed" in err
 
 
+def test_verify_rejects_link_flags(capsys):
+    # the oracle runs its own fixed cases, so a link flag would be ignored
+    code, out, err = run_cli(capsys, "verify", "--samples", "2e4", "--mu", "0.1")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "--mu" in err
+
+
 def test_verify_passes_mapping(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--samples", "20000")
     assert code == EXIT_OK

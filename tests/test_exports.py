@@ -1,12 +1,16 @@
-"""Export guard: every exported name resolves, and the public API is pinned.
+"""Export and import guards: the public API and the cross-module private imports.
 
 A name in an ``__all__`` whose object was deleted fails on
-``from cowqkd import *`` only.  The pinned list makes every change to the
-package's public API a deliberate edit here.
+``from cowqkd import *`` only.  The pinned lists make every change to the
+package's public API, and every private name one module takes from another,
+a deliberate edit here.
 """
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import cowqkd
 
@@ -39,3 +43,57 @@ def test_every_exported_name_resolves():
 def test_public_api_is_pinned():
     assert len(PUBLIC_API) == 34
     assert sorted(cowqkd.__all__) == sorted(PUBLIC_API)
+
+
+SRC = Path(cowqkd.__file__).parent
+NOQA = re.compile(r"#\s*noqa: F401\s+\S")  # the rule code, then a reason
+# module: the private names it imports from other cowqkd modules, as source.name
+PRIVATE_IMPORTS = {
+    "cli": {"optimize._point_record", "security._CHECKED"},
+    "optimize": {"security._Chain", "security._RATES", "security._accepted",
+                 "security._rate_chain"},
+    "security": {"gains._gain_record", "gains._n_minus", "gains._n_plus"},
+}
+
+
+def _imports(tree):
+    """(node, alias, bound name) of every import in a module, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node, alias, alias.asname or alias.name
+
+
+def _uses(tree):
+    """Names a module reads, and the names its ``__all__`` re-exports."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return used
+
+
+def test_every_import_is_used_or_marked_with_a_reason():
+    wrong = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(text), text.splitlines()
+        used = _uses(tree)
+        for _, alias, name in _imports(tree):
+            marked = NOQA.search(lines[alias.lineno - 1]) is not None
+            if (name in used) == marked:  # unused and unmarked, or marked but used
+                wrong.append(f"{path.name}:{alias.lineno} {name}")
+    assert wrong == []
+
+
+def test_private_cross_module_imports_are_pinned():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node, alias, _ in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and alias.name.startswith("_"):
+                found.setdefault(path.stem, set()).add(f"{node.module}.{alias.name}")
+    assert found == PRIVATE_IMPORTS

@@ -19,7 +19,6 @@ from cowqkd.gains import (
     _decoy_monitoring_gains,
     _logic_monitoring_gain,
     _routed,
-    _routed_floats,
     two_detector_squash,
 )
 from conftest import make_params
@@ -207,8 +206,9 @@ def test_misalignment_identity_at_zero():
         params = make_params(p_d=1e-8, e_a=0.0, variant=variant)
         eta = total_transmittance(params)
         gains = full_gain_set(params)
-        q_logic = _routed_floats(_logic_monitoring_gain, params, eta)
-        q_aa_m0, q_aa_m1, q_00 = _routed_floats(_decoy_monitoring_gains, params, eta)
+        link = (params.mu, params.t_B, eta, params.p_d, variant == "active")
+        q_logic = _routed(_logic_monitoring_gain, *link)
+        q_aa_m0, q_aa_m1, q_00 = _routed(_decoy_monitoring_gains, *link)
         assert gains.Q_0z_M0 == gains.Q_0z_M1 == gains.Q_1z_M0 == gains.Q_1z_M1 == q_logic
         assert (gains.Q_aa_M0, gains.Q_aa_M1) == (q_aa_m0, q_aa_m1)
         assert gains.Q_00_M0 == gains.Q_00_M1 == q_00

@@ -426,13 +426,16 @@ def test_scan_raises_what_a_per_row_evaluate_point_loop_raises():
 def test_evaluate_point_raises_what_the_public_steps_raise():
     # one point per check, in the order of the public steps: the unmixed
     # Q_aa_M0 > 1, the Cauchy bound and the gains overflowing, no data-line
-    # clicks, and no monitoring clicks ((1 - t_B) mu eta / 2 underflows to 0)
+    # clicks, and no monitoring clicks ((1 - t_B) mu eta / 2 underflows to 0);
+    # then a point with two faults, Q_aa_M0 = 1.319 and Q_0x_M1 = inf, where
+    # the unmixed checks' order decides which error is raised
     cases = [(make_params(L_km=20.0, mu=5.0, t_B=0.016, e_a=0.05), "Q_aa_M0 must be a probability"),
              (make_params(mu=800.0), "overflows the Cauchy bound"),
              (make_params(mu=1e4, t_B=0.01), "overflows the gain Q_0x_M0"),
              (make_params(L_km=1e5, p_d=0.0, variant="active"), "all data-line gains are zero"),
              (make_params(L_km=0.0, eta_d=1.0, p_d=0.0, mu=1e-308, t_B=1.0 - 2.0 ** -53),
-              "all logic-sequence monitoring gains are zero")]
+              "all logic-sequence monitoring gains are zero"),
+             (make_params(L_km=50.0, mu=800.0, t_B=0.001), "Q_aa_M0 must be a probability")]
     for params, expected in cases:
         for protocol in Protocol:
             raised = _error(lambda: evaluate_point(params, protocol))
