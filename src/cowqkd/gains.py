@@ -66,8 +66,8 @@ def _n_plus(mu):
 
 
 def _n_minus(mu):
-    """Squared norm N- = 2(1 - e^{-mu}) of the odd superposition."""
-    return 2.0 * (1.0 - np.exp(-mu))
+    """Squared norm N- = 2(1 - e^{-mu}) of the odd superposition; expm1 keeps small mu exact."""
+    return -2.0 * np.expm1(-mu)
 
 
 def _logic_monitoring_gain(mu, t_b, eta, p_d):

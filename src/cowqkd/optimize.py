@@ -1,18 +1,13 @@
 """Key-rate maximization over (mu, t_B) and distance scans.
 
-Grid-then-refine: at each distance the objective is evaluated on a log-spaced
-mu grid times a linear t_B grid (for the active variant, whose rate is t_B
-times a t_B-free bracket, on the t_B = tb_max column of many distances at
-once), then the incumbents of all distances are polished together by
-coordinate-wise golden-section passes that run in lockstep.  One objective
-call over a block of distances, no larger than one grid, evaluates all the
-points that the next four steps could probe, and a pass is skipped when it
-could not move.  The rows come from one array pass over every distance.  All
-of these, and ``evaluate_point`` on one point's floats, run the one rate
-chain, ``security._rate_chain``: this module only searches.  A distance's
-result equals what a scalar step-by-step search at that distance alone would
-give.  Everything is deterministic; ties resolve to the smallest mu, then the
-smallest t_B, and a NaN grid cell never wins.
+Grid, then Newton: each distance's objective is evaluated on a log-spaced mu
+grid times a linear t_B grid (for the active variant, whose rate is t_B times
+a t_B-free bracket, on the tb_max column of many distances at once); then a
+safeguarded projected Newton step converges the incumbents, in lockstep.  The
+grid, the Newton calls, the rows and ``evaluate_point`` all run the one rate
+chain, ``security._rate_chain``: this module only searches.  A row is a
+converged optimum, independent of the other distances of its scan.  Grid ties
+resolve to the smallest mu, then t_B, and a NaN cell or candidate never wins.
 """
 
 from __future__ import annotations
@@ -62,6 +57,7 @@ class ScanConfig:
     """Distance list, search grids, and refinement settings for a scan.
 
     ``mu_fixed`` / ``tb_fixed`` pin a coordinate instead of optimizing it.
+    ``refine_iters`` caps the Newton steps (0 keeps the grid incumbents).
     """
 
     L_values: tuple[float, ...]
@@ -71,7 +67,7 @@ class ScanConfig:
     tb_min: float = 0.01
     tb_max: float = 0.99
     n_tb: int = 49
-    refine_iters: int = 3
+    refine_iters: int = 20
     protocol: Protocol = Protocol.COW
     mu_fixed: float | None = None
     tb_fixed: float | None = None
@@ -189,58 +185,94 @@ def _rows(base: SystemParams, sites: list[SystemParams], eta: np.ndarray, mu: np
     return points
 
 
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray,
-                iters: int = 48) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic lockstep golden-section maximizer, one bracket [lo[k], hi[k]] per k.
+# The Newton step (see _newton): the complex step; the spacing of the central
+# difference of complex-step gradients that gives the Hessian; the predicted
+# rise, relative to R, of a step not worth taking (it is then below about
+# 1e-10 in log mu and t_B) and of one that R's rounding may hide.
+_STEP, _DELTA, _RISE_TOL, _NEAR = 1e-30, 1e-6, 1e-22, 1e-12
 
-    A step's probe depends only on the comparisons before it.  So one call of
-    f on a stacked ``(2**depth - 1, n)`` array evaluates every point that the
-    next ``depth`` steps could probe, the nodes of their decision tree, each
-    built with the scalar step's float operations.  The steps are then
-    replayed with the true comparisons.  Element k thus takes exactly the
-    probes, comparisons and result of a scalar search on [lo[k], hi[k]], at
-    one call of f per ``_LOOKAHEAD`` steps.
+
+def _derivatives(base: SystemParams, eta, x, dims, protocol: Protocol):
+    """(R, gradient, Hessian) in (log mu, t_B) at each row (mu, t_B) of x, from one chain call.
+
+    The gradient is the complex step Im R(x + ih) / h, exact to working precision
+    where the chain's clamps are inactive.  Coordinates outside ``dims`` get zeros.
     """
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(np.stack([c, d]))
-    cols = np.arange(len(lo))
-    for start in range(0, iters, _LOOKAHEAD):
-        depth = min(_LOOKAHEAD, iters - start)
-        # The first step's comparison is already known, so its probe is the root.
-        left = fc >= fd  # the maximum lies in [a, d]: d becomes the upper end
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        # Level j of the tree is a (2**j, n) array.  The children of the node
-        # at position p sit at p if its comparison holds (left), else at p + 2**j.
-        a, b, c, d, probes = a[None], b[None], c[None], d[None], [x[None]]
-        for _ in range(depth - 1):
-            x_left = d - _INV_PHI * (d - a)
-            x_right = c + _INV_PHI * (b - c)
-            a, b, c, d = (np.concatenate([a, c]), np.concatenate([d, b]),
-                          np.concatenate([x_left, d]), np.concatenate([c, x_right]))
-            probes.append(np.concatenate([x_left, x_right]))
-        f_tree = f(np.concatenate(probes))
-        # Replay: step j probes the node at position pos of level j, which is
-        # row 2**j - 1 + pos of f_tree.
-        pos = np.zeros(len(lo), dtype=int)
-        for j in range(depth):
-            if j:
-                left = fc >= fd
-                pos = np.where(left, pos, pos + (1 << (j - 1)))
-            fx = f_tree[(1 << j) - 1 + pos, cols]
-            fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-        a, b, c, d = a[pos, cols], b[pos, cols], c[pos, cols], d[pos, cols]
-    keep_c = fc >= fd
-    return np.where(keep_c, c, d), np.where(keep_c, fc, fd)
+    mu, t_b = x.T
+    t_mid = np.clip(t_b, 2.0 * _DELTA, 1.0 - 2.0 * _DELTA)  # t_B +- delta stays in (0, 1)
+    # (complex-step coordinate i, offset coordinate j, offset sign): g_i at x,
+    # then at x +- delta e_j for each pair i <= j
+    points = [(i, None, 0.0) for i in dims] + [
+        (i, j, sign) for k, i in enumerate(dims) for j in dims[k:] for sign in (1.0, -1.0)]
+    in_tb = np.array([[i] for i, _, _ in points])
+    mus = np.array([mu * math.exp(s * _DELTA) if j == 0 else mu for _, j, s in points])
+    tbs = np.array([t_mid + s * _DELTA if j == 1 else t_b for _, j, s in points])
+    values = _objective_surface(base, eta, mus * (1.0 + 1j * _STEP * (1 - in_tb)),
+                                tbs + 1j * _STEP * in_tb, protocol)
+    slope = values.imag / _STEP
+    grad, hess = np.zeros((len(x), 2)), np.zeros((len(x), 2, 2))
+    grad[:, dims] = slope[:len(dims)].T
+    for p in range(len(dims), len(points), 2):
+        i, j, _ = points[p]
+        hess[:, i, j] = hess[:, j, i] = (slope[p] - slope[p + 1]) / (2.0 * _DELTA)
+    return values[0].real, grad, hess
 
 
-# math.exp and math.log element by element: a mu on the search path does not
-# depend on numpy's vector exp and log, which may round differently.
-_exp = np.vectorize(math.exp, otypes=[float])
-_log = np.vectorize(math.log, otypes=[float])
+def _ascent(x, grad, hess, movable, lo, hi):
+    """(step, gradient norm) of the free coordinates.
+
+    Newton where the Hessian is negative definite, else the gradient over its
+    diagonal's magnitude.  Not free: a fixed coordinate, or one on a bound of
+    the box whose gradient points out of it.
+    """
+    free = movable & ~(((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0)))
+    g = np.where(free, grad, 0.0)
+    h = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
+    h[:, [0, 1], [0, 1]] -= ~free  # a coordinate that is not free solves -s = 0
+    a, b, c = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+    det = a * c - b * b
+    newton = (a < 0.0) & (det > 0.0)  # negative definite
+    step = np.stack([b * g[:, 1] - c * g[:, 0], b * g[:, 0] - a * g[:, 1]], axis=1)
+    scale = np.abs(np.stack([a, c], axis=1))
+    return np.where(newton[:, None], step / np.where(newton, det, 1.0)[:, None],
+                    g / np.where(scale > 0.0, scale, np.inf)), np.hypot(*g.T)
+
+
+def _newton(base: SystemParams, eta, x, dims: list[int], config: ScanConfig) -> np.ndarray:
+    """Converge each row (mu, t_B) of x, a grid incumbent, in lockstep; returns the optima.
+
+    Projected Newton in (log mu, t_B) over ``dims``, in the search box, one chain call per
+    iteration.  A candidate is accepted where R rises or, if its step's gradient-predicted
+    rise is below _NEAR * R (R's rounding may hide it), where the gradient norm falls; never
+    where it is NaN.  A rejected step is halved.  A distance stops once its next step's
+    predicted rise is at most _RISE_TOL * R, once a step below _NEAR * R is rejected, or
+    after ``config.refine_iters`` steps.
+    """
+    movable = np.isin([0, 1], dims)
+    lo = np.where(movable, [config.mu_min, config.tb_min], -np.inf)
+    hi = np.where(movable, [config.mu_max, config.tb_max], np.inf)
+    n = len(x)
+    best, todo, x, y = x.copy(), np.arange(n), x.copy(), x.copy()  # accepted x, candidate y
+    r_x, norm_x, rise = np.full(n, -np.inf), np.full(n, np.inf), np.full(n, np.inf)
+    grad, step, alpha = np.zeros((n, 2)), np.zeros((n, 2)), np.ones(n)
+    for _ in range(config.refine_iters + 1):
+        r, g, h = _derivatives(base, eta[todo], y, dims, config.protocol)
+        ascent, norm = _ascent(y, g, h, movable, lo, hi)
+        near = rise <= _NEAR * r_x
+        ok = np.isfinite(r) & np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
+        ok &= (r > r_x) | (near & (norm < norm_x))
+        x[ok], r_x[ok], norm_x[ok], grad[ok], step[ok] = y[ok], r[ok], norm[ok], g[ok], ascent[ok]
+        alpha = np.where(ok, 1.0, alpha / 2.0)
+        best[todo] = x
+        y = np.clip(np.stack([x[:, 0] * np.exp(alpha * step[:, 0]),  # the step is in log mu
+                              x[:, 1] + alpha * step[:, 1]], axis=1), lo, hi)
+        rise = grad[:, 0] * np.log(y[:, 0] / x[:, 0]) + grad[:, 1] * (y[:, 1] - x[:, 1])
+        go = (ok | ~near) & (rise > _RISE_TOL * r_x)  # also False for NaN
+        if not go.any():
+            break
+        todo, x, y, r_x, norm_x, rise, grad, step, alpha = (
+            v[go] for v in (todo, x, y, r_x, norm_x, rise, grad, step, alpha))
+    return best
 
 
 def optimize_point(base_params: SystemParams, config: ScanConfig) -> RatePoint:
@@ -254,23 +286,13 @@ def optimize_point(base_params: SystemParams, config: ScanConfig) -> RatePoint:
 def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     """Maximize the configured key rate over (mu, t_B) at every distance, in input order.
 
-    Each distance gets a full-grid evaluation, of which only the incumbent and
-    its neighbouring grid cells are kept.  The active rate is t_B times a
-    t_B-free bracket, so without ``tb_fixed`` an active scan grids only the
-    ``tb_max`` column, ``n_tb`` distances per call, keeps the full grid's
-    incumbent, and runs no t_B pass.  Then the distances with a positive grid
-    rate are refined together, in blocks no larger than one grid's cells:
-    ``refine_iters`` rounds of coordinate-wise golden-section passes (log-space
-    for mu), bracketed by those neighbours, with one objective call over the
-    block per four steps (see :func:`_golden_max`).  In a block, a pass runs
-    only if it has not run yet or the other coordinate has moved since, as a
-    rerun could not win.  A refined value never falls below its grid
-    incumbent, and a row does not depend on the other distances.  The rows,
-    from one array pass (see :func:`_rows`), equal :func:`evaluate_point` at
-    each optimum, errors included.
-
-    Zero-rate points are flagged, never fatal: a scan always spans its full
-    distance list.
+    Each distance's full-grid incumbent (an active scan without ``tb_fixed``
+    grids only the ``tb_max`` column, ``n_tb`` distances per call, and keeps
+    t_B there) is converged by :func:`_newton` where its rate is positive, in
+    at most ``refine_iters`` steps (0 keeps the incumbents) and in blocks that
+    take no more bytes than one grid.  The rows, from one array pass
+    (:func:`_rows`), equal :func:`evaluate_point` at each optimum, errors
+    included.  Zero-rate rows are flagged, never fatal.
     """
     protocol = config.protocol
     mu_grid = config.mu_grid()
@@ -295,40 +317,16 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
         best_rate[block] = surface[np.arange(len(surface)), flat_best]
     if len(columns) < len(tb_grid):  # the full grid's incumbent: tb_max, or tb_min at rate 0
         i_tb[:] = np.where(best_rate > 0.0, len(tb_grid) - 1, 0)
-    best_mu = mu_grid[i_mu]
-    best_tb = tb_grid[i_tb]
+    best = np.stack([mu_grid[i_mu], tb_grid[i_tb]], axis=1)
 
     live = np.flatnonzero(best_rate > 0.0)
-    # A lookahead call probes 2**_LOOKAHEAD - 1 points per distance, so a
-    # block of this many distances holds no more cells than one grid.
-    per_block = max(1, config.n_mu * config.n_tb // (2 ** _LOOKAHEAD - 1))
-    mu_free, tb_free = config.mu_fixed is None, config.tb_fixed is None and not active
-    for start in range(0, live.size, per_block):
-        block = live[start:start + per_block]
-        eta_block = eta[block]
-        rate, mu, t_b = best_rate[block], best_mu[block], best_tb[block]
-        log_mu_lo = _log(mu_grid[np.maximum(i_mu[block] - 1, 0)])
-        log_mu_hi = _log(mu_grid[np.minimum(i_mu[block] + 1, len(mu_grid) - 1)])
-        tb_lo = tb_grid[np.maximum(i_tb[block] - 1, 0)]
-        tb_hi = tb_grid[np.minimum(i_tb[block] + 1, len(tb_grid) - 1)]
-        # A pass is due until it has run, and again once the other coordinate
-        # moves: rerun on an unchanged objective and bracket, it could not win.
-        mu_due, tb_due = mu_free, tb_free
-        for _ in range(config.refine_iters):
-            if mu_due:
-                log_mu, new = _golden_max(
-                    lambda x: _objective_surface(base_params, eta_block, _exp(x), t_b, protocol),
-                    log_mu_lo, log_mu_hi)
-                better = new > rate
-                rate, mu = np.where(better, new, rate), np.where(better, _exp(log_mu), mu)
-                mu_due, tb_due = False, tb_due or (tb_free and bool(better.any()))
-            if tb_due:
-                new_tb, new = _golden_max(
-                    lambda x: _objective_surface(base_params, eta_block, mu, x, protocol),
-                    tb_lo, tb_hi)
-                better = new > rate
-                rate, t_b = np.where(better, new, rate), np.where(better, new_tb, t_b)
-                tb_due, mu_due = False, mu_free and bool(better.any())
-        best_mu[block], best_tb[block] = mu, t_b
-
-    return _rows(base_params, sites, eta, best_mu, best_tb, protocol)
+    dims = [i for i, free in enumerate((config.mu_fixed is None,
+                                        config.tb_fixed is None and not active)) if free]
+    if dims and config.refine_iters:
+        # A Newton call holds d (d + 2) complex points per distance (16 B each),
+        # for d free coordinates: no more bytes than one real grid.
+        per_block = max(1, config.n_mu * config.n_tb // (2 * len(dims) * (len(dims) + 2)))
+        for start in range(0, live.size, per_block):
+            block = live[start:start + per_block]
+            best[block] = _newton(base_params, eta[block], best[block], dims, config)
+    return _rows(base_params, sites, eta, *best.T, protocol)

@@ -20,11 +20,13 @@ from cowqkd import (
 )
 from cowqkd.optimize import FLAG_NO_POSITIVE_RATE
 
-# The byte references come in two sets, because numpy's AVX-512 exp, expm1
-# and log round differently from the C library on a few percent of inputs.
-# tests/data/ holds the bytes where np.exp takes those paths, tests/data/libm/
-# the bytes where np.exp equals math.exp: on a host without AVX-512, or with
-# NPY_DISABLE_CPU_FEATURES set to LIBM_FEATURES_OFF before numpy is imported.
+# points_reference.txt comes in two sets, because numpy's AVX-512 exp, expm1
+# and log round differently from the C library on a few percent of inputs, and
+# the file prints repr.  tests/data/ holds the bytes where np.exp takes those
+# paths, tests/data/libm/ the bytes where np.exp equals math.exp: on a host
+# without AVX-512, or with NPY_DISABLE_CPU_FEATURES set to LIBM_FEATURES_OFF
+# before numpy is imported.  The scan CSVs print converged optima to nine
+# digits, the same on both paths, so tests/data/ alone holds them.
 LIBM_FEATURES_OFF = "AVX512_SPR AVX512_ICL X86_V4"
 _EXP_PROBE = np.linspace(-40.0, 40.0, 4001)
 
@@ -35,7 +37,7 @@ def exp_is_libm() -> bool:
 
 
 def reference_dir() -> Path:
-    """The byte-reference set for the exp that this process's numpy computes."""
+    """The points_reference.txt set for the exp that this process's numpy computes."""
     data = Path(__file__).parent / "data"
     return data / "libm" if exp_is_libm() else data
 

@@ -1,15 +1,19 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cowqkd.optimize as optimize
 from cowqkd import ParameterError, Protocol, ScanConfig, evaluate_point, optimize_point, scan
-from cowqkd.optimize import _LOOKAHEAD, FLAG_NO_POSITIVE_RATE, _golden_max, _objective_surface
+from cowqkd.optimize import FLAG_NO_POSITIVE_RATE, _objective_surface
 from cowqkd.params import Variant, total_transmittance
 from conftest import make_params, stepwise_point
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def reference_config(**overrides):
@@ -179,73 +183,192 @@ def test_rate_point_fields_populated():
     assert point.R_tilde >= point.R
 
 
+# ---------------------------------------------------------------------------
+# references: the full grid and the coordinate-wise golden-section search
+# ---------------------------------------------------------------------------
+
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max_scalar(f, lo, hi, iters=48):
+def _golden_section(f, lo, hi, iters=48):
+    """Golden-section maximizer of f on [lo[k], hi[k]], elementwise over arrays.
+
+    Element k takes the probes and comparisons of a scalar search on its
+    bracket; the lockstep only saves calls of f.
+    """
     a, b = lo, hi
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - INV_PHI * (b - a), a + INV_PHI * (b - a))
+        fx = f(x)
+        c, fc, d, fd = (np.where(left, x, d), np.where(left, fx, fd),
+                        np.where(left, c, x), np.where(left, fc, fx))
+    keep_c = fc >= fd
+    return np.where(keep_c, c, d), np.where(keep_c, fc, fd)
 
 
-def reference_scan(base, config):
-    """One distance at a time: full grid, then scalar coordinate-wise golden-section passes.
+def reference_grid(base, config):
+    """(rate, mu, t_B, i_mu, i_tb) arrays of each distance's full-grid incumbent.
 
-    The active variant gets no t_B pass: its rate is t_B times a t_B-free
-    bracket, so the pass only ever probes below its incumbent tb_max (see
-    test_active_rows_keep_tb_max for the rounding it would chase).
+    A NaN cell never wins; ties go to the smallest mu, then the smallest t_B.
     """
     mu_grid, tb_grid = config.mu_grid(), config.tb_grid()
     mu_mesh, tb_mesh = np.meshgrid(mu_grid, tb_grid, indexing="ij")
-    points = []
+    cells = []
     for L in config.L_values:
         site = replace(base, L_km=float(L))
-        eta = total_transmittance(site)
+        surface = _objective_surface(site, total_transmittance(site), mu_mesh, tb_mesh,
+                                     config.protocol)
+        surface = np.fmax(surface, -np.inf).ravel()
+        best = int(np.argmax(surface))
+        cells.append((surface[best], *np.unravel_index(best, mu_mesh.shape)))
+    rate, i_mu, i_tb = (np.array(v) for v in zip(*cells))
+    return rate, mu_grid[i_mu], tb_grid[i_tb], i_mu, i_tb
 
-        def rate(mu, t_b):
-            return float(_objective_surface(site, eta, mu, t_b, config.protocol))
 
-        surface = _objective_surface(site, eta, mu_mesh, tb_mesh, config.protocol)
-        surface = np.fmax(surface, -np.inf)  # a NaN cell never wins
-        i_mu, i_tb = np.unravel_index(int(np.argmax(surface)), surface.shape)
-        best_rate = float(surface[i_mu, i_tb])
-        best_mu, best_tb = float(mu_grid[i_mu]), float(tb_grid[i_tb])
-        if best_rate > 0.0:
-            mu_lo = float(mu_grid[max(i_mu - 1, 0)])
-            mu_hi = float(mu_grid[min(i_mu + 1, len(mu_grid) - 1)])
-            tb_lo = float(tb_grid[max(i_tb - 1, 0)])
-            tb_hi = float(tb_grid[min(i_tb + 1, len(tb_grid) - 1)])
-            for _ in range(config.refine_iters):
-                if config.mu_fixed is None:
-                    log_mu, r = _golden_max_scalar(lambda x: rate(math.exp(x), best_tb),
-                                                   math.log(mu_lo), math.log(mu_hi))
-                    if r > best_rate:
-                        best_rate, best_mu = r, math.exp(log_mu)
-                if config.tb_fixed is None and site.variant is Variant.PASSIVE:
-                    t_b, r = _golden_max_scalar(lambda x: rate(best_mu, x), tb_lo, tb_hi)
-                    if r > best_rate:
-                        best_rate, best_tb = r, t_b
-        points.append(stepwise_point(replace(site, mu=best_mu, t_B=best_tb), config.protocol))
-    return points
+def reference_rates(base, config, rounds):
+    """{r: each distance's objective after r rounds of golden-section search} for r in rounds.
+
+    From the grid incumbent, each round is a log-mu pass and, for the passive
+    variant, a t_B pass, each bracketed by the incumbent's grid neighbours and
+    kept where it beats the incumbent.  Three rounds are the search that gave
+    the scan rows before the Newton step.  An active round after the first
+    would rerun an unchanged pass, which cannot win, so it is skipped.
+    """
+    mu_grid, tb_grid = config.mu_grid(), config.tb_grid()
+    rate, mu, t_b, i_mu, i_tb = reference_grid(base, config)
+    live = rate > 0.0
+    eta = np.array([total_transmittance(replace(base, L_km=float(L)))
+                    for L in config.L_values])[live]
+    rate, mu, t_b, i_mu, i_tb = rate[live], mu[live], t_b[live], i_mu[live], i_tb[live]
+    log_mu_lo = np.log(mu_grid[np.maximum(i_mu - 1, 0)])
+    log_mu_hi = np.log(mu_grid[np.minimum(i_mu + 1, len(mu_grid) - 1)])
+    tb_lo = tb_grid[np.maximum(i_tb - 1, 0)]
+    tb_hi = tb_grid[np.minimum(i_tb + 1, len(tb_grid) - 1)]
+    passive = base.variant is Variant.PASSIVE
+    results = {}
+    for done in range(1, max(rounds) + 1):
+        if passive or done == 1:
+            log_mu, new = _golden_section(
+                lambda x: _objective_surface(base, eta, np.exp(x), t_b, config.protocol),
+                log_mu_lo, log_mu_hi)
+            better = new > rate
+            rate, mu = np.where(better, new, rate), np.where(better, np.exp(log_mu), mu)
+        if passive:
+            new_tb, new = _golden_section(
+                lambda x: _objective_surface(base, eta, mu, x, config.protocol), tb_lo, tb_hi)
+            better = new > rate
+            rate, t_b = np.where(better, new, rate), np.where(better, new_tb, t_b)
+        if done in rounds:
+            results[done] = np.zeros(len(config.L_values))
+            results[done][live] = rate
+    return results
+
+
+def _perfbench_scans():
+    """(base, config) of the first command cycle of perfbench's scan inputs, seeds 1-3."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for seed in (1, 2, 3):
+        for inp in workloads.ScanWorkload().make_inputs(seed)[:len(workloads.SCAN_CYCLE)]:
+            base = make_params(p_d=inp.p_d, eta_d=inp.eta_d, e_a=inp.e_a, f_ec=workloads.F_EC,
+                               variant=inp.variant)
+            yield base, reference_config(L_values=inp.distance_list(), protocol=inp.protocol)
+
+
+def reference_links():
+    """(base, config) of the six reference CSVs of test_cli and of perfbench's scans."""
+    default = tuple(float(L) for L in range(0, 151, 5))
+    for variant in ("passive", "active"):
+        for protocol in Protocol:
+            yield make_params(variant=variant), reference_config(L_values=default,
+                                                                 protocol=protocol)
+    yield make_params(e_a=0.02), reference_config(L_values=(0.0, 20.0, 40.0, 60.0, 80.0, 100.0))
+    yield (make_params(p_d=1e-7, eta_d=0.99, e_a=0.01, variant="active"),
+           reference_config(L_values=tuple(float(L) for L in range(0, 121))))
+    yield from _perfbench_scans()
+
+
+def _gradient(site, mu, t_b, protocol):
+    """Complex-step (dR/dlog mu, dR/dt_B) at (mu, t_B) arrays."""
+    h = 1e-30
+    eta = total_transmittance(site)
+    return (_objective_surface(site, eta, mu * complex(1.0, h), t_b, protocol).imag / h,
+            _objective_surface(site, eta, mu, t_b + complex(0.0, h), protocol).imag / h)
+
+
+def _hessian(site, mu, t_b, protocol, delta=1e-5):
+    """Central difference of _gradient: an array of (2, 2) matrices, symmetrized."""
+    columns = []
+    for d_log_mu, d_tb in ((delta, 0.0), (0.0, delta)):
+        up = _gradient(site, mu * math.exp(d_log_mu), t_b + d_tb, protocol)
+        down = _gradient(site, mu * math.exp(-d_log_mu), t_b - d_tb, protocol)
+        columns.append([(u - v) / (2.0 * delta) for u, v in zip(up, down)])
+    hess = np.moveaxis(np.array(columns), (0, 1), (-1, -2))
+    return (hess + np.swapaxes(hess, -1, -2)) / 2.0
+
+
+def test_scan_rows_are_converged_optima():
+    # On every positive row of the reference links: at an interior coordinate
+    # |dR/dx| / R <= 1e-9 (x = log mu, t_B), and the Hessian of the free
+    # coordinates is negative semidefinite; a coordinate on a box edge has a
+    # gradient that points out of the box.  The active variant's t_B is
+    # pinned at tb_max, where its rate t_B * bracket rises.
+    for base, config in reference_links():
+        rows = scan(base, config)
+        cow = config.protocol is Protocol.COW
+        for point in rows:
+            if point.flag:
+                continue
+            site = replace(base, L_km=point.L_km)
+            rate = point.R if cow else point.R_tilde
+            mu, t_b = np.array([point.mu_opt]), np.array([point.tB_opt])
+            grad = [float(g[0]) for g in _gradient(site, mu, t_b, config.protocol)]
+            hess = _hessian(site, mu, t_b, config.protocol)[0]
+            edges = ((point.mu_opt, config.mu_min, config.mu_max),
+                     (point.tB_opt, config.tb_min, config.tb_max))
+            free = []
+            for k, (x, lo, hi) in enumerate(edges):
+                if x == lo:
+                    assert grad[k] <= 0.0, (point, k)
+                elif x == hi:
+                    assert grad[k] >= 0.0, (point, k)
+                else:
+                    assert abs(grad[k]) <= 1e-9 * rate, (point, k, grad[k] / rate)
+                    free.append(k)
+            assert base.variant is Variant.PASSIVE or point.tB_opt == config.tb_max
+            if free:
+                curvature = np.linalg.eigvalsh(hess[np.ix_(free, free)])
+                assert curvature.max() <= 1e-6 * np.abs(hess).max(), (point, curvature)
+
+
+def test_scan_rows_reach_the_golden_section_references():
+    # Every row's objective is at least the golden-section search's at
+    # refine_iters=30 (converged to rounding), and at refine_iters=3 (the
+    # search this step replaced), less 1e-12 Q_z.  R is Q_z times a bracket that
+    # is a difference of entropies; near the reach R << Q_z, and R's rounding is
+    # up to about 2e-13 Q_z there, which the golden-section searches maximize over.
+    for base, config in reference_links():
+        rows = scan(base, config)
+        rates = np.array([p.R if config.protocol is Protocol.COW else p.R_tilde for p in rows])
+        q_z = np.array([p.Q_z for p in rows])
+        for refine_iters, reference in reference_rates(base, config, (3, 30)).items():
+            shortfall = (reference - rates) / q_z
+            assert shortfall.max() <= 1e-12, (base, config.protocol, refine_iters,
+                                              config.L_values[int(np.argmax(shortfall))])
 
 
 def test_active_rows_keep_tb_max():
-    # A row near the nonclassical reach (bracket R_tilde / Q_z about 5e-5).  In
-    # the active variant, E_b does not depend on t_B, but its rounding does, and
-    # a scalar t_B pass, which probes to within 2e-12 of tb_max, finds a rate
-    # higher by that rounding alone.  The scan keeps tb_max; the rate it leaves
-    # is below Q_z * 1e-15.
+    # A row near the nonclassical reach (bracket R_tilde / Q_z about 5e-5).  The
+    # active rate is t_B times a t_B-free bracket, so the scan keeps tb_max and
+    # refines mu alone.
     base = make_params(L_km=152.6, p_d=1.773396295930934e-09, eta_d=0.4653810423139731,
                        e_a=0.05957046180094523, f_ec=1.185609361163892, variant="active")
     config = reference_config(L_values=(152.6,), mu_min=2.8258717866809313e-06,
@@ -255,14 +378,9 @@ def test_active_rows_keep_tb_max():
     assert point.tB_opt == config.tb_max and point.R_tilde > 0.0
     assert point == stepwise_point(replace(base, mu=point.mu_opt, t_B=point.tB_opt),
                                    config.protocol)
-    eta = total_transmittance(base)
-    t_b, r = _golden_max_scalar(
-        lambda x: float(_objective_surface(base, eta, point.mu_opt, x, config.protocol)),
-        float(config.tb_grid()[-2]), config.tb_max)
-    assert t_b < config.tb_max and 0.0 < r - point.R_tilde < 1e-15 * point.Q_z
 
 
-def test_lockstep_scan_matches_scalar_reference_exactly():
+def test_lockstep_scan_equals_one_distance_scans():
     # unsorted, with a duplicate and with zero-rate distances: 1000 km always,
     # 300 km and 120 km for most settings
     distances = (50.0, 300.0, 0.0, 120.0, 50.0, 1000.0, 20.0)
@@ -276,13 +394,20 @@ def test_lockstep_scan_matches_scalar_reference_exactly():
                 base = make_params(variant=variant, e_a=0.01, **params)
                 config = reference_config(L_values=distances, protocol=protocol, **overrides)
                 points = scan(base, config)
-                assert points == reference_scan(base, config), (variant, protocol, overrides)
-                if params or overrides:
-                    continue
-                assert (points[0].flag, points[5].flag) == ("", FLAG_NO_POSITIVE_RATE)
-                # a row does not depend on the other distances of its scan
-                for L, point in zip(distances, points):
+                grid_rate, grid_mu, grid_tb, _, _ = reference_grid(base, config)
+                for L, point, rate, mu, t_b in zip(distances, points, grid_rate, grid_mu, grid_tb):
+                    # a row does not depend on the other distances of its scan
                     assert scan(base, replace(config, L_values=(L,))) == [point]
+                    assert point == stepwise_point(
+                        replace(base, L_km=L, mu=point.mu_opt, t_B=point.tB_opt), protocol)
+                    # the search starts at the full grid's incumbent and never loses to it
+                    objective = point.R if protocol is Protocol.COW else point.R_tilde
+                    if config.refine_iters == 0 or rate <= 0.0:
+                        assert (point.mu_opt, point.tB_opt, objective) == (mu, t_b, rate)
+                    else:
+                        assert objective >= rate, (variant, protocol, overrides, L)
+                if not (params or overrides):
+                    assert (points[0].flag, points[5].flag) == ("", FLAG_NO_POSITIVE_RATE)
 
 
 def test_scan_memory_is_per_distance():
@@ -307,86 +432,45 @@ def test_scan_memory_is_per_distance():
         assert peak < 4e6, (variant, step)
 
 
-def _recorded(f):
-    """f, plus the list of the arguments it was called with."""
-    calls = []
-
-    def wrapped(x):
-        calls.append(np.array(x))
-        return f(x)
-    return wrapped, calls
-
-
-def test_lookahead_probes_match_scalar_search():
-    rng = np.random.default_rng(8)
-    n = 24
-    lo = rng.uniform(-2.0, 1.0, n)
-    hi = lo + rng.uniform(1e-3, 3.0, n)
-    centre = rng.uniform(-2.5, 4.5, n)
-    step = rng.uniform(-1.5, 3.0, n)
-    objectives = {
-        "smooth": lambda x, c, s: -(x - c) * (x - c),
-        "constant": lambda x, c, s: np.zeros_like(x),
-        "step": lambda x, c, s: np.where(x > s, 1.0, 0.0),
-        "nan": lambda x, c, s: np.where(x > s, np.nan, -(x - c) * (x - c)),
-    }
-    for name, g in objectives.items():
-        for iters in (0, 1, 2, 3, 4, 5, 7, 48):
-            f, calls = _recorded(lambda x: g(x, centre, step))
-            x_best, f_best = _golden_max(f, lo, hi, iters)
-            # the first two probes, then one call per block of up to _LOOKAHEAD
-            # steps, on every node of the block's decision tree
-            depths = [min(_LOOKAHEAD, iters - s) for s in range(0, iters, _LOOKAHEAD)]
-            assert [call.shape for call in calls] == [(2, n)] + [(2 ** d - 1, n) for d in depths]
-            for k in range(n):
-                f_k, scalar_calls = _recorded(lambda x: g(x, centre[k], step[k]))
-                x_k, f_k_best = _golden_max_scalar(f_k, float(lo[k]), float(hi[k]), iters)
-                probes = [float(x) for x in scalar_calls]
-                assert len(probes) == 2 + iters
-                # the steps of each block probe points of that block's call
-                blocks = [probes[:2]] + [probes[2 + _LOOKAHEAD * b:2 + _LOOKAHEAD * (b + 1)]
-                                         for b in range(len(calls) - 1)]
-                for block, call in zip(blocks, calls):
-                    assert set(block) <= set(call[:, k].tolist()), (name, iters, k)
-                assert x_best[k] == x_k, (name, iters, k)
-                assert f_best[k] == f_k_best or (np.isnan(f_best[k]) and np.isnan(f_k_best))
-
 
 def test_scan_objective_call_budget(monkeypatch):
-    cells = []
+    calls = []
     surface = optimize._objective_surface
 
     def counted(base, eta, mu, t_b, protocol):
-        cells.append(np.broadcast(eta, mu, t_b).size)
-        return surface(base, eta, mu, t_b, protocol)
+        value = surface(base, eta, mu, t_b, protocol)
+        calls.append(value.nbytes)
+        return value
     monkeypatch.setattr(optimize, "_objective_surface", counted)
     distances = tuple(float(L) for L in range(0, 151, 5))
     n_l = len(distances)
-    # objective calls per 48-step golden-section pass: the first two probes,
-    # then one call per four steps (one call per step would be 49)
-    passes = 13
-    # (variant, overrides, grid calls, refinement passes): the passive grid is
-    # one call per distance; the active grid is the tb_max column of up to
-    # n_tb distances per call, and the active variant has no t_B pass
-    cases = [("passive", {}, n_l, 6), ("active", {}, math.ceil(n_l / 49), 1),
+    # (variant, overrides, grid calls, free coordinates of the Newton step): the
+    # passive grid is one call per distance; the active grid is the tb_max
+    # column of up to n_tb distances per call, and the active step moves mu alone
+    cases = [("passive", {}, n_l, 2), ("active", {}, math.ceil(n_l / 49), 1),
              ("active", {"n_tb": 5}, math.ceil(n_l / 5), 1),
+             ("passive", {"n_mu": 7, "n_tb": 3}, n_l, 2),
              ("passive", {"mu_fixed": 0.004, "refine_iters": 5}, n_l, 1),
              ("active", {"mu_fixed": 0.004, "refine_iters": 5}, math.ceil(n_l / 49), 0)]
     for variant in ("passive", "active"):
         cases.append((variant, {"tb_fixed": 0.37, "refine_iters": 5}, n_l, 1))
-    for variant, overrides, grid_calls, n_passes in cases:
+    for variant, overrides, grid_calls, free in cases:
         for protocol in Protocol:
-            cells.clear()
+            calls.clear()
             config = reference_config(L_values=distances, protocol=protocol, **overrides)
             rows = scan(make_params(variant=variant), config)
-            # the refinement runs per block of live distances, 15 probes each,
-            # and no call holds more cells than one n_mu x n_tb grid
-            per_block = config.n_mu * config.n_tb // 15
-            blocks = math.ceil(sum(row.flag == "" for row in rows) / per_block)
-            assert max(cells) <= config.n_mu * config.n_tb, (variant, overrides)
-            # the rows come from one array pass, not from objective calls
-            assert len(cells) <= grid_calls + n_passes * passes * blocks, (variant, overrides)
-            assert blocks == (2 if overrides == {"n_tb": 5} else 1)
+            # no call holds more bytes than one n_mu x n_tb grid of floats: a
+            # Newton call holds free + free (free + 1) complex points per distance
+            assert max(calls) <= 8 * config.n_mu * config.n_tb, (variant, overrides)
+            per_block = config.n_mu * config.n_tb // (2 * (free + free * (free + 1))) if free else 0
+            live = sum(row.flag == "" for row in rows)
+            blocks = math.ceil(live / per_block) if free else 0
+            # the rows come from one array pass, not from objective calls; each
+            # block's Newton step makes one call per iteration, and converges
+            # in at most eight on these links
+            newton_calls = len(calls) - grid_calls
+            assert newton_calls <= (config.refine_iters + 1) * blocks, (variant, overrides)
+            assert newton_calls <= 8 * blocks, (variant, overrides, newton_calls)
 
 
 def _error(run):

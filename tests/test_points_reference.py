@@ -3,8 +3,9 @@
 ``reference_lines()`` renders, one line per seeded operating point,
 ``repr(RatePoint)`` or the exception's type and message, then the CLI output
 of a few ``point``/``optimize`` commands.  ``points_reference.txt`` holds that
-text as rendered at commit 04a8b2b, in the reference set of conftest.py that
-matches this process's numpy exp, and the test requires the same bytes.  A
+text, as rendered after the last declared numeric change, in the reference set
+of conftest.py that matches this process's numpy exp, and the test requires
+the same bytes.  A
 second test reruns every byte test with numpy's AVX-512 dispatch off, so an
 AVX-512 host gates both sets.  To rewrite both after a declared numeric
 change, run
@@ -13,8 +14,8 @@ change, run
     NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" \
         PYTHONPATH=src python tests/test_points_reference.py
 
-and write the ``GOLDEN_SCANS`` CSVs of ``tests/test_cli.py`` with
-``cowqkd scan ... --out`` the same two ways.
+and write the ``GOLDEN_SCANS`` CSVs of ``tests/test_cli.py`` to ``tests/data/``
+with ``cowqkd scan ... --out``; they must come out the same both ways.
 """
 
 from __future__ import annotations

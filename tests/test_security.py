@@ -159,6 +159,23 @@ def test_phase_error_zero_when_both_terms_vanish():
     assert phase_error_upper(gains, bounds, mu=0.1) == 0.0
 
 
+def test_phase_error_floor_is_reached_where_the_bound_is_tight():
+    # Without dark counts, loss in the detector or misalignment, the lower bound
+    # on Q_0x_M0 is tight as mu -> 0, and the parallelogram bracket
+    # 2(Q_0z_M0 + Q_1z_M0) - N+ Q_0x_M0_lower tends to 0 from above.  Here (a
+    # hypothesis counterexample) its rounding makes it negative; the floor
+    # keeps the raw phase error at N+ Q_0x_M1_upper / denominator, >= 0.
+    params = make_params(L_km=381.0, p_d=0.0, eta_d=1.0, e_a=0.0,
+                         mu=1.6859311079208818e-86, t_B=0.5, variant="active")
+    gains = full_gain_set(params)
+    bounds = gain_bounds(gains.Q_aa_M0, gains.Q_aa_M1, gains.Q_00_M0, gains.Q_00_M1, params.mu)
+    n_plus = 2.0 * (1.0 + math.exp(-params.mu))
+    assert 2.0 * (gains.Q_0z_M0 + gains.Q_1z_M0) - n_plus * bounds.Q_0x_M0_lower < 0.0
+    denom = 2.0 * (gains.Q_0z_M0 + gains.Q_0z_M1 + gains.Q_1z_M0 + gains.Q_1z_M1)
+    raw = phase_error_upper_raw(gains, bounds, params.mu)
+    assert raw == n_plus * bounds.Q_0x_M1_upper / denom and raw > 0.0
+
+
 def test_phase_error_clamped_at_half_with_raw_preserved():
     gains = gain_set(mon=0.001)
     bounds = BoundPair(Q_0x_M1_upper=1.0, Q_0x_M0_lower=0.0)
