@@ -11,7 +11,8 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .params import ParameterError, SystemParams
 from .oracle import MIN_SAMPLES, VerificationReport, run_verification
 from .security import _CHECKED, azuma_deviation
 
-__all__ = ["main", "app", "RunConfig", "parse_distance_range", "parse_config_file"]
+__all__ = ["main", "app", "parse_distance_range", "parse_config_file"]
 
 CSV_HEADER = "L_km,eta_ch,eta_tot,mu_opt,tB_opt,Qz,Eb,Ep_u,R,R_tilde,R_plob,flag"
 
@@ -37,48 +38,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-_DEFAULTS = {
-    "pd": 1e-8,
-    "eta_d": 0.8,
-    "ea": 0.0,
-    "f": 1.1,
-    "mu": None,
-    "tb": None,
-    "variant": "passive",
-    "atten": 0.2,
-    "L": None,
-    "protocol": "cow",
-    "out": None,
-    "seed": 1,
-    "samples": 10_000_000,
-}
-
-_FLOAT_KEYS = {"pd", "eta_d", "ea", "f", "mu", "tb", "atten"}
-_INT_KEYS = {"seed", "samples"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one invocation (defaults < config file < flags)."""
-
-    subcommand: str
-    pd: float
-    eta_d: float
-    ea: float
-    f: float
-    mu: float | None
-    tb: float | None
-    variant: str
-    atten: float
-    L: tuple[float, ...] | None
-    protocol: str
-    out: str | None
-    seed: int
-    samples: int
-    K: float | None = None
-    fail_prob: float | None = None
-
 
 def parse_distance_range(text: str) -> tuple[float, ...]:
     """Parse "start:stop:step" (inclusive of both ends when step divides the
@@ -102,8 +61,70 @@ def parse_distance_range(text: str) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(count + 1))
 
 
+def _whole(text: str) -> int:
+    """An integer, also written as a whole float such as 1e7."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():  # also rejects inf and nan
+        raise ValueError(text)
+    return int(value)
+
+
+class _Option(NamedTuple):
+    """One flag.  ``convert`` reads its text from the command line and from a
+    config file alike; its config key is the flag's name with '_' for '-'."""
+
+    flag: str
+    convert: Callable[[str], Any]
+    default: Any
+    help: str
+    commands: tuple[str, ...]
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_LINK = ("scan", "point", "optimize")  # the subcommands that take a link's settings
+
+# Every option of every subcommand, in --help order.
+_OPTIONS = (
+    _Option("--pd", float, 1e-8, "dark-count probability per detector per slot", _LINK),
+    _Option("--eta-d", float, 0.8, "detector efficiency", _LINK),
+    _Option("--ea", float, 0.0, "misalignment error", _LINK),
+    _Option("--f", float, 1.1, "error-correction efficiency", _LINK),
+    _Option("--mu", float, None, "mean photon number of a non-empty pulse", _LINK),
+    _Option("--tb", float, None, "data-line routing coefficient", _LINK),
+    _Option("--variant", str.lower, "passive", "basis-choice variant", _LINK,
+            ("passive", "active")),
+    _Option("--atten", float, 0.2, "fiber attenuation in dB/km", _LINK),
+    _Option("--seed", _whole, 1, "oracle seed", ("verify",)),
+    _Option("--samples", _whole, 10_000_000, "samples per estimated gain", ("verify",)),
+    _Option("--config", str, None, "flat key = value configuration file", (*_LINK, "verify")),
+    _Option("--K", float, None, "number of rounds", ("finite-size",)),
+    _Option("--fail-prob", float, None, "failure probability", ("finite-size",)),
+    _Option("--out", str, None, "output path (default: stdout)",
+            (*_LINK, "verify", "finite-size")),
+    _Option("--L", parse_distance_range, None,
+            "distance in km (scan: a range start:stop:step)", _LINK),
+    _Option("--protocol", str.lower, "cow", "rate to maximize", ("scan", "optimize"),
+            ("cow", "nonclassical")),
+)
+
+
+@functools.cache  # the table is constant; callers only read the dict
+def _config_keys(cmd: str) -> dict[str, _Option]:
+    """The options of ``cmd`` by config key: every one of its flags but --config."""
+    return {o.key: o for o in _OPTIONS if cmd in o.commands and o.key != "config"}
+
+
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; '#' starts a comment; unknown keys rejected."""
+    """Flat ``key = value`` lines; '#' starts a comment; a key that is no
+    subcommand's option is rejected."""
+    known = {o.key for o in _OPTIONS if o.key != "config"}
     entries: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -114,53 +135,45 @@ def parse_config_file(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _DEFAULTS:
+            if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             entries[key] = value
     return entries
 
 
-def _coerce(key: str, value):
-    if value is None:
-        return value
+def _convert(option: _Option, text: str):
     try:
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(float(value))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"bad value for {key!r}: {value!r}") from None
-    return value
+        value = option.convert(text)
+    except ConfigError:  # parse_distance_range says what is wrong
+        raise
+    except ValueError:
+        pass
+    else:
+        if option.choices is None or value in option.choices:
+            return value
+    raise ConfigError(f"bad value for {option.key!r}: {text!r}")
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    settings = dict(_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The settings of one invocation: defaults < config file < flags."""
+    options = _config_keys(args.cmd)
+    texts: dict[str, str] = {}
+    if getattr(args, "config", None):
         try:
-            file_entries = parse_config_file(config_path)
+            texts = parse_config_file(args.config)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        for key, value in file_entries.items():
-            settings[key] = _coerce(key, value)
-    for key in settings:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = _coerce(key, flag_value)
-    distances = settings["L"]
-    if isinstance(distances, str):
-        distances = parse_distance_range(distances)
-    return RunConfig(
-        subcommand=args.cmd,
-        pd=settings["pd"], eta_d=settings["eta_d"], ea=settings["ea"], f=settings["f"],
-        mu=settings["mu"], tb=settings["tb"], variant=str(settings["variant"]).lower(),
-        atten=settings["atten"], L=distances, protocol=str(settings["protocol"]).lower(),
-        out=settings["out"], seed=int(settings["seed"]), samples=int(settings["samples"]),
-        K=getattr(args, "K", None), fail_prob=getattr(args, "fail_prob", None),
-    )
+        for key in texts:  # in file order
+            if key not in options:
+                raise ConfigError(f"{args.config}: {args.cmd} takes no config key {key!r}")
+    texts.update((key, value) for key, value in vars(args).items()
+                 if key in options and value is not None)
+    settings = {key: option.default for key, option in options.items()}
+    settings.update((key, _convert(options[key], text)) for key, text in texts.items())
+    return argparse.Namespace(cmd=args.cmd, **settings)
 
 
-def _base_params(cfg: RunConfig, L_km: float, require_mu_tb: bool) -> SystemParams:
+def _base_params(cfg: argparse.Namespace, L_km: float, require_mu_tb: bool) -> SystemParams:
     if require_mu_tb and (cfg.mu is None or cfg.tb is None):
         raise ConfigError("--mu and --tb are required for this command")
     return SystemParams(
@@ -176,16 +189,12 @@ def _base_params(cfg: RunConfig, L_km: float, require_mu_tb: bool) -> SystemPara
     )
 
 
-def _scan_config(cfg: RunConfig) -> ScanConfig:
+def _scan_config(cfg: argparse.Namespace) -> ScanConfig:
     if cfg.L is None:
         raise ConfigError("--L is required (a distance or start:stop:step)")
-    try:
-        protocol = Protocol(cfg.protocol)
-    except ValueError:
-        raise ConfigError(f"protocol must be 'cow' or 'nonclassical', got {cfg.protocol!r}") from None
     return ScanConfig(
         L_values=cfg.L,
-        protocol=protocol,
+        protocol=Protocol(cfg.protocol),
         mu_fixed=cfg.mu,
         tb_fixed=cfg.tb,
     )
@@ -279,7 +288,8 @@ def _verification_report_lines(report: VerificationReport) -> list[str]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_scan(cfg: RunConfig) -> int:
+def _cmd_scan(cfg: argparse.Namespace) -> int:
+    """optimize the key rate over a distance range, emit CSV"""
     base = _base_params(cfg, L_km=0.0, require_mu_tb=False)
     points = scan(base, _scan_config(cfg))
     lines = [CSV_HEADER] + [format_rate_point_csv(p) for p in points]
@@ -287,7 +297,8 @@ def _cmd_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_point(cfg: RunConfig) -> int:
+def _cmd_point(cfg: argparse.Namespace) -> int:
+    """evaluate one (L, mu, t_B) without optimization"""
     if cfg.L is None or len(cfg.L) != 1:
         raise ConfigError("point requires a single --L distance")
     params = _base_params(cfg, L_km=cfg.L[0], require_mu_tb=True)
@@ -295,7 +306,8 @@ def _cmd_point(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_optimize(cfg: RunConfig) -> int:
+def _cmd_optimize(cfg: argparse.Namespace) -> int:
+    """optimize a single distance, print the full report"""
     if cfg.L is None or len(cfg.L) != 1:
         raise ConfigError("optimize requires a single --L distance")
     base = _base_params(cfg, L_km=cfg.L[0], require_mu_tb=False)
@@ -307,7 +319,8 @@ def _cmd_optimize(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
+    """run the Monte-Carlo oracle comparisons"""
     if cfg.samples < MIN_SAMPLES:
         sys.stderr.write(f"warning: insufficient samples (minimum {MIN_SAMPLES})\n")
         return EXIT_CONFIG
@@ -324,7 +337,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_finite_size(cfg: RunConfig) -> int:
+def _cmd_finite_size(cfg: argparse.Namespace) -> int:
+    """concentration deviation for K rounds"""
     if cfg.K is None or cfg.fail_prob is None:
         raise ConfigError("finite-size requires --K and --fail-prob")
     try:
@@ -339,19 +353,6 @@ def _cmd_finite_size(cfg: RunConfig) -> int:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _add_parameter_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pd", type=float, help="dark-count probability per detector per slot")
-    parser.add_argument("--eta-d", dest="eta_d", type=float, help="detector efficiency")
-    parser.add_argument("--ea", type=float, help="misalignment error")
-    parser.add_argument("--f", type=float, help="error-correction efficiency")
-    parser.add_argument("--mu", type=float, help="mean photon number of a non-empty pulse")
-    parser.add_argument("--tb", type=float, help="data-line routing coefficient")
-    parser.add_argument("--variant", choices=("passive", "active"), help="basis-choice variant")
-    parser.add_argument("--atten", type=float, help="fiber attenuation in dB/km")
-    parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--out", help="output path (default: stdout)")
-
-
 @functools.cache  # parsing leaves the parser unchanged, so it is built once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -359,37 +360,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Asymptotic secret-key rates for coherent-one-way QKD.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p_scan = sub.add_parser("scan", help="optimize the key rate over a distance range, emit CSV")
-    _add_parameter_flags(p_scan)
-    p_scan.add_argument("--L", help="distance range start:stop:step in km")
-    p_scan.add_argument("--protocol", choices=("cow", "nonclassical"),
-                        help="rate to maximize")
-
-    p_point = sub.add_parser("point", help="evaluate one (L, mu, t_B) without optimization")
-    _add_parameter_flags(p_point)
-    p_point.add_argument("--L", help="distance in km")
-
-    p_opt = sub.add_parser("optimize", help="optimize a single distance, print the full report")
-    _add_parameter_flags(p_opt)
-    p_opt.add_argument("--L", help="distance in km")
-    p_opt.add_argument("--protocol", choices=("cow", "nonclassical"),
-                       help="rate to maximize")
-
-    p_verify = sub.add_parser("verify", help="run the Monte-Carlo oracle comparisons")
-    p_verify.add_argument("--seed", type=int, help="oracle seed")
-    p_verify.add_argument("--samples", type=float, help="samples per estimated gain")
-    p_verify.add_argument("--config", help="flat key = value configuration file")
-    p_verify.add_argument("--out", help="output path (default: stdout)")
-
-    p_fs = sub.add_parser("finite-size", help="concentration deviation for K rounds")
-    p_fs.add_argument("--K", type=float, help="number of rounds")
-    p_fs.add_argument("--fail-prob", dest="fail_prob", type=float, help="failure probability")
-    p_fs.add_argument("--out", help="output path (default: stdout)")
-
+    for cmd, run in _COMMANDS.items():
+        command = sub.add_parser(cmd, help=run.__doc__)
+        for option in _OPTIONS:
+            if cmd in option.commands:
+                command.add_argument(option.flag, dest=option.key, choices=option.choices,
+                                     help=option.help)
     return parser
 
 
+# A subcommand's --help line is its function's docstring.
 _COMMANDS = {
     "scan": _cmd_scan,
     "point": _cmd_point,

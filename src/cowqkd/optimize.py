@@ -38,10 +38,6 @@ from .security import (
 
 __all__ = ["Protocol", "ScanConfig", "evaluate_point", "optimize_point", "scan"]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Golden-section steps resolved per objective call (see _golden_max).
-_LOOKAHEAD = 4
-
 FLAG_NO_POSITIVE_RATE = "no_positive_rate"
 
 

@@ -1,4 +1,8 @@
+import argparse
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -96,6 +100,55 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
 def test_missing_config_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "scan", "--config", "/nonexistent/x.cfg", "--L", "0:0:1")
     assert code == EXIT_CONFIG
+
+
+# (subcommand, its other flags, config text, the key to name, keys it must not name)
+FOREIGN_KEYS = [
+    ("verify", ["--samples", "2e4"], "mu = -5\npd = 0.9\n", "mu", ["pd"]),
+    ("verify", ["--samples", "2e4"], "L = 50\n", "L", []),
+    ("point", ["--L", "10", "--mu", "0.1", "--tb", "0.5"], "protocol = nonclassical\n",
+     "protocol", []),
+    ("scan", ["--L", "0:0:1"], "seed = 3\nsamples = 5\n", "seed", ["samples"]),
+]
+
+
+@pytest.mark.parametrize("cmd, argv, text, key, others", FOREIGN_KEYS,
+                         ids=[f"{case[0]}-{case[3]}" for case in FOREIGN_KEYS])
+def test_config_key_of_another_subcommand_exits_one(tmp_path, capsys, cmd, argv, text, key,
+                                                     others):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, cmd, "--config", str(path), *argv)
+    assert code == EXIT_CONFIG and out == ""
+    message = err.replace(str(path), "")  # the path must not supply the names
+    assert f"'{key}'" in message and cmd in message, err
+    assert not [other for other in others if f"'{other}'" in message], err  # first in file order
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_each_subcommand_takes_the_config_keys_of_its_flags():
+    commands = _subparsers()
+    assert sorted(commands) == sorted(cli._COMMANDS)
+    for cmd, parser in commands.items():
+        dests = {action.dest for action in parser._actions
+                 if action.option_strings and action.dest not in ("help", "config")}
+        assert dests == set(cli._config_keys(cmd)), cmd
+    assert "config" not in {action.dest for action in commands["finite-size"]._actions}
+
+
+def test_whole_number_options_reject_fractions(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 1.9\n")
+    for argv, key in ((["verify", "--samples", "2e4", "--config", str(path)], "seed"),
+                      (["verify", "--samples", "20000.5"], "samples")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == "", argv
+        assert f"'{key}'" in err.replace(str(path), ""), err
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +423,17 @@ def test_finite_size_requires_flags(capsys):
 def test_unknown_subcommand_exits_one(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == EXIT_CONFIG
+
+
+def test_module_entry_point_exit_codes():
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTEST_")}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    ok = subprocess.run([sys.executable, "-m", "cowqkd", "finite-size", "--K", "1e10",
+                         "--fail-prob", "1e-10"], env=env, capture_output=True, text=True)
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert "epsilon=" in ok.stdout
+    missing = subprocess.run([sys.executable, "-m", "cowqkd", "point", "--L", "50"],
+                             env=env, capture_output=True, text=True)
+    assert missing.returncode == EXIT_CONFIG  # --mu and --tb are required
+    assert missing.stderr.startswith("error: ") and "--mu" in missing.stderr, missing.stderr
