@@ -123,9 +123,10 @@ def _config_keys(cmd: str) -> dict[str, _Option]:
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment; a key that is no
-    subcommand's option is rejected."""
+    subcommand's option, or that a line repeats ('-' and '_' alike), is rejected."""
     known = {o.key for o in _OPTIONS if o.key != "config"}
     entries: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -137,7 +138,9 @@ def parse_config_file(path: str) -> dict[str, str]:
             key = key.replace("-", "_")
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            entries[key] = value
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+            entries[key], lines[key] = value, lineno
     return entries
 
 

@@ -3,7 +3,10 @@
 Grid, then Newton: each distance's objective is evaluated on a log-spaced mu
 grid times a linear t_B grid (for the active variant, whose rate is t_B times
 a t_B-free bracket, on the tb_max column of many distances at once); then a
-safeguarded projected Newton step converges the incumbents, in lockstep.  The
+safeguarded projected Newton step converges the incumbents, in lockstep.  A
+scan grids its distances by decreasing transmittance, and the COW grid skips
+the mu rows whose phase-error bound a higher transmittance clamped at 1/2 on
+every t_B, where R is exactly 0.0 at every lower one (see ``scan``).  The
 grid, the Newton calls, the rows and ``evaluate_point`` all run the one rate
 chain, ``security._rate_chain``: this module only searches.  A row is a
 converged optimum, independent of the other distances of its scan.  Grid ties
@@ -13,6 +16,7 @@ resolve to the smallest mu, then t_B, and a NaN cell or candidate never wins.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NoReturn
@@ -69,8 +73,16 @@ class ScanConfig:
     tb_fixed: float | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.L_values, list):
-            object.__setattr__(self, "L_values", tuple(self.L_values))
+        try:  # any sequence, e.g. a numpy array; a tuple keeps the frozen config hashable
+            L_values = tuple(map(float, self.L_values))
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"L_values must be a sequence of numbers, got {self.L_values!r}") from None
+        object.__setattr__(self, "L_values", L_values)
+        for name in ("n_mu", "n_tb", "refine_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if isinstance(self.protocol, str):
             object.__setattr__(self, "protocol", Protocol(self.protocol.lower()))
         if len(self.L_values) == 0:
@@ -187,6 +199,9 @@ def _rows(base: SystemParams, sites: list[SystemParams], eta: np.ndarray, mu: np
 # 1e-10 in log mu and t_B) and of one that R's rounding may hide.
 _STEP, _DELTA, _RISE_TOL, _NEAR = 1e-30, 1e-6, 1e-22, 1e-12
 
+# The largest mu whose exp(mu) is finite: the Cauchy bound overflows above it.
+_MU_FINITE = math.log(np.finfo(float).max)
+
 
 def _derivatives(base: SystemParams, eta, x, dims, protocol: Protocol):
     """(R, gradient, Hessian) in (log mu, t_B) at each row (mu, t_B) of x, from one chain call.
@@ -289,6 +304,26 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     take no more bytes than one grid.  The rows, from one array pass
     (:func:`_rows`), equal :func:`evaluate_point` at each optimum, errors
     included.  Zero-rate rows are flagged, never fatal.
+
+    The grid visits the distances by decreasing eta, and the COW grid evaluates
+    only the mu rows that hold a live cell; the others read 0.0, as the full
+    grid does.  A cell dies where its phase-error bound is clamped at 1/2 at the
+    last distance of a block.  Why it stays clamped: the mixed logic gains of both
+    ports equal q = Q_0z_M0, so E_p_u = N+ U / (8 q) + max(0, 1/2 - N+ L / (8 q))
+    for U the Cauchy upper bound on Q_0x_M1 and L the lower bound on Q_0x_M0,
+    and it is clamped where U >= min(L, 4 q / N+).  U keeps an eta-free term,
+    N-^2 e^mu / (4 N+), and the dark counts' share, while L and q are gains of
+    the light that arrives: U / min(L, 4 q / N+) does not fall as eta falls (no
+    fall in 7e7 measured cell steps over random links; the property test
+    ``test_cow_rate_falls_with_eta_and_a_clamped_bound_stays_clamped`` draws
+    links and cells).  Clamped, h(E_p_u) = h(1/2) is exactly 1, so R =
+    max(0, -f Q_z h(E_b)) is exactly 0.0 wherever Q_z and E_b are finite at
+    every lower eta: where p_d > 0 keeps every gain positive and exp(mu) is
+    finite.  Other cells never die.  R == 0.0 itself is no such test: near
+    E_p_u = 1/2, h rounds to 1 or to 1 - 2^-53, and R returns from 0.0 to about
+    1e-16 Q_z at a lower eta.  Nor is E_b, which falls with eta where the data
+    detectors saturate.  The nonclassical R_tilde returns from 0.0 over a range
+    of eta (E_x tends to 1/2 at p_d = e_a = 0), so its grid keeps every cell.
     """
     protocol = config.protocol
     mu_grid = config.mu_grid()
@@ -301,16 +336,27 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     best_rate, i_mu, i_tb = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=int)
     columns = tb_grid[-1:] if active and config.tb_fixed is None else tb_grid
     per_call = len(tb_grid) // len(columns)  # no call grids more cells than one full grid
+    order = np.argsort(-eta, kind="stable")  # decreasing transmittance
+    cow = protocol is Protocol.COW
+    rows = np.arange(len(mu_grid))  # the mu rows with a live cell
+    # A clamped cell dies only where the chain stays finite at every lower eta:
+    # dark counts keep every gain positive, and exp(mu) does not overflow.
+    mortal = (mu_grid <= _MU_FINITE) & (base_params.p_d > 0.0)
     for start in range(0, n, per_call):
-        block = slice(start, start + per_call)
-        surface = _objective_surface(base_params, eta[block, None, None], mu_grid[None, :, None],
-                                     columns[None, None, :], protocol)
-        # A NaN cell (overflow at huge mu) never wins; in C order, ties
-        # resolve to the smallest mu, then the smallest t_B.
-        surface = np.fmax(surface, -np.inf).reshape(len(surface), -1)
+        block = order[start:start + per_call]
+        surface = np.zeros((len(block), len(mu_grid), len(columns)))
+        if rows.size:
+            chain = _rate_chain(base_params, eta[block, None, None], mu_grid[rows, None],
+                                columns, cow=cow, nonclassical=not cow)
+            # A NaN cell (overflow at huge mu) never wins.
+            surface[:, rows] = np.fmax(chain.R if cow else chain.R_tilde, -np.inf)
+            if cow:
+                rows = rows[~(mortal[rows] & (chain.E_p_u_raw[-1] >= 0.5).all(axis=1))]
+        surface = surface.reshape(len(block), -1)
+        # in C order, ties resolve to the smallest mu, then the smallest t_B
         flat_best = np.argmax(surface, axis=1)
         i_mu[block], i_tb[block] = np.unravel_index(flat_best, (len(mu_grid), len(columns)))
-        best_rate[block] = surface[np.arange(len(surface)), flat_best]
+        best_rate[block] = surface[np.arange(len(block)), flat_best]
     if len(columns) < len(tb_grid):  # the full grid's incumbent: tb_max, or tb_min at rate 0
         i_tb[:] = np.where(best_rate > 0.0, len(tb_grid) - 1, 0)
     best = np.stack([mu_grid[i_mu], tb_grid[i_tb]], axis=1)

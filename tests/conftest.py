@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from cowqkd import (
     plob_bound,
     total_transmittance,
 )
-from cowqkd.optimize import FLAG_NO_POSITIVE_RATE
+from cowqkd.optimize import FLAG_NO_POSITIVE_RATE, _objective_surface
 
 # points_reference.txt comes in two sets, because numpy's AVX-512 exp, expm1
 # and log round differently from the C library on a few percent of inputs, and
@@ -80,3 +81,22 @@ def stepwise_point(params: SystemParams, protocol: Protocol = Protocol.COW) -> R
                      mu_opt=mu, tB_opt=params.t_B, Q_z=q_z, E_b=e_b, E_p_u=e_p_u, E_x=e_x,
                      R=r, R_tilde=r_tilde, R_plob=plob_bound(eta_ch) if eta_ch < 1.0 else math.inf,
                      flag="" if objective > 0.0 else FLAG_NO_POSITIVE_RATE)
+
+
+def reference_grid(base, config):
+    """(rate, mu, t_B, i_mu, i_tb) arrays of each distance's full-grid incumbent.
+
+    A NaN cell never wins; ties go to the smallest mu, then the smallest t_B.
+    """
+    mu_grid, tb_grid = config.mu_grid(), config.tb_grid()
+    mu_mesh, tb_mesh = np.meshgrid(mu_grid, tb_grid, indexing="ij")
+    cells = []
+    for L in config.L_values:
+        site = replace(base, L_km=float(L))
+        surface = _objective_surface(site, total_transmittance(site), mu_mesh, tb_mesh,
+                                     config.protocol)
+        surface = np.fmax(surface, -np.inf).ravel()
+        best = int(np.argmax(surface))
+        cells.append((surface[best], *np.unravel_index(best, mu_mesh.shape)))
+    rate, i_mu, i_tb = (np.array(v) for v in zip(*cells))
+    return rate, mu_grid[i_mu], tb_grid[i_tb], i_mu, i_tb

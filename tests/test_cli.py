@@ -1,6 +1,7 @@
 import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -75,6 +76,21 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path.write_text("wavelength = 1550\n")
     with pytest.raises(ConfigError):
         parse_config_file(str(path))
+
+
+@pytest.mark.parametrize("text, key, first, second", [
+    ("mu = 0.1\ntb = 0.5\nmu = 0.2\n", "mu", 1, 3),
+    ("# the same key, spelled both ways\neta-d = 0.9\n\neta_d = 0.8\n", "eta_d", 2, 4),
+], ids=["mu", "eta_d"])
+def test_repeated_config_key_exits_one(tmp_path, capsys, text, key, first, second):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    message = f"{path}:{second}: key '{key}' repeats line {first}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_file(str(path))
+    code, out, err = run_cli(capsys, "point", "--L", "10", "--config", str(path))
+    assert code == EXIT_CONFIG and out == ""
+    assert f"'{key}' repeats line {first}" in err, err
 
 
 def test_flags_override_config_file(tmp_path, capsys):

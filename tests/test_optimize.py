@@ -11,7 +11,8 @@ import cowqkd.optimize as optimize
 from cowqkd import ParameterError, Protocol, ScanConfig, evaluate_point, optimize_point, scan
 from cowqkd.optimize import FLAG_NO_POSITIVE_RATE, _objective_surface
 from cowqkd.params import Variant, total_transmittance
-from conftest import make_params, stepwise_point
+from cowqkd.security import _rate_chain
+from conftest import make_params, reference_grid, stepwise_point
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -174,6 +175,28 @@ def test_scan_config_validation():
         ScanConfig(L_values=(10.0,), mu_max=math.inf)
 
 
+def test_scan_config_grid_sizes_are_integers():
+    # a float or a bool size used to pass, and scan then died deep in numpy
+    for name in ("n_mu", "n_tb", "refine_iters"):
+        for bad in (2.5, 5.0, True, "7"):
+            with pytest.raises(ParameterError, match=name):
+                ScanConfig(L_values=(0.0, 10.0), **{name: bad})
+    config = ScanConfig(L_values=(0.0,), n_mu=np.int64(7), n_tb=3, refine_iters=np.int32(0))
+    assert len(scan(make_params(), config)) == 1
+
+
+def test_scan_config_distances_are_a_tuple_of_floats():
+    for values in (np.array([0.0, 12.5]), [0, 12.5], range(0, 25, 25), (np.float32(12.5),)):
+        config = ScanConfig(L_values=values)
+        assert type(config.L_values) is tuple and config.L_values
+        assert all(type(L) is float for L in config.L_values)
+        assert hash(config) == hash(replace(config))
+    assert ScanConfig(L_values=np.array([0.0, 12.5])) == ScanConfig(L_values=(0.0, 12.5))
+    for bad in (10.0, ["ten"], None):
+        with pytest.raises(ParameterError, match="L_values"):
+            ScanConfig(L_values=bad)
+
+
 def test_rate_point_fields_populated():
     point = optimize_point(make_params(), reference_config())
     assert point.eta_ch == pytest.approx(0.1, rel=1e-12)
@@ -184,7 +207,7 @@ def test_rate_point_fields_populated():
 
 
 # ---------------------------------------------------------------------------
-# references: the full grid and the coordinate-wise golden-section search
+# references: the coordinate-wise golden-section search (conftest has the full grid)
 # ---------------------------------------------------------------------------
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -209,25 +232,6 @@ def _golden_section(f, lo, hi, iters=48):
                         np.where(left, c, x), np.where(left, fc, fx))
     keep_c = fc >= fd
     return np.where(keep_c, c, d), np.where(keep_c, fc, fd)
-
-
-def reference_grid(base, config):
-    """(rate, mu, t_B, i_mu, i_tb) arrays of each distance's full-grid incumbent.
-
-    A NaN cell never wins; ties go to the smallest mu, then the smallest t_B.
-    """
-    mu_grid, tb_grid = config.mu_grid(), config.tb_grid()
-    mu_mesh, tb_mesh = np.meshgrid(mu_grid, tb_grid, indexing="ij")
-    cells = []
-    for L in config.L_values:
-        site = replace(base, L_km=float(L))
-        surface = _objective_surface(site, total_transmittance(site), mu_mesh, tb_mesh,
-                                     config.protocol)
-        surface = np.fmax(surface, -np.inf).ravel()
-        best = int(np.argmax(surface))
-        cells.append((surface[best], *np.unravel_index(best, mu_mesh.shape)))
-    rate, i_mu, i_tb = (np.array(v) for v in zip(*cells))
-    return rate, mu_grid[i_mu], tb_grid[i_tb], i_mu, i_tb
 
 
 def reference_rates(base, config, rounds):
@@ -433,44 +437,142 @@ def test_scan_memory_is_per_distance():
 
 
 
+def _pruned_grid_calls(base, config):
+    """(distances, cells) of each grid call of a scan, from full-grid chains.
+
+    Distances are visited by decreasing eta, in blocks of n_tb distances on the
+    active tb_max column and one distance otherwise.  A block grids the mu rows
+    that hold a cell live after the previous block; a COW cell dies where its
+    phase-error bound is clamped at 1/2 (p_d > 0 and mu below 700 on every case
+    here), and a block with no live cell makes no call.
+    """
+    mu_grid, tb_grid = config.mu_grid(), config.tb_grid()
+    columns = tb_grid[-1:] if base.variant is Variant.ACTIVE and config.tb_fixed is None \
+        else tb_grid
+    per_call = len(tb_grid) // len(columns)
+    eta = [total_transmittance(replace(base, L_km=L)) for L in config.L_values]
+    order = sorted(range(len(eta)), key=lambda k: -eta[k])
+    live = np.ones((len(mu_grid), len(columns)), dtype=bool)
+    calls = []
+    for start in range(0, len(order), per_call):
+        block = order[start:start + per_call]
+        if live.any():
+            calls.append((len(block), int(live.any(axis=1).sum()) * len(columns)))
+        if config.protocol is Protocol.COW:
+            chain = _rate_chain(base, eta[block[-1]], mu_grid[:, None], columns[None, :],
+                                nonclassical=False)
+            live &= ~(chain.E_p_u_raw >= 0.5)
+    return calls
+
+
 def test_scan_objective_call_budget(monkeypatch):
     calls = []
-    surface = optimize._objective_surface
+    chain = optimize._rate_chain
 
-    def counted(base, eta, mu, t_b, protocol):
-        value = surface(base, eta, mu, t_b, protocol)
-        calls.append(value.nbytes)
-        return value
-    monkeypatch.setattr(optimize, "_objective_surface", counted)
+    def counted(base, eta, mu, t_b, cow=True, nonclassical=True):
+        record = chain(base, eta, mu, t_b, cow, nonclassical)
+        calls.append(record.R if cow else record.R_tilde)
+        return record
+    monkeypatch.setattr(optimize, "_rate_chain", counted)
     distances = tuple(float(L) for L in range(0, 151, 5))
-    n_l = len(distances)
-    # (variant, overrides, grid calls, free coordinates of the Newton step): the
-    # passive grid is one call per distance; the active grid is the tb_max
-    # column of up to n_tb distances per call, and the active step moves mu alone
-    cases = [("passive", {}, n_l, 2), ("active", {}, math.ceil(n_l / 49), 1),
-             ("active", {"n_tb": 5}, math.ceil(n_l / 5), 1),
-             ("passive", {"n_mu": 7, "n_tb": 3}, n_l, 2),
-             ("passive", {"mu_fixed": 0.004, "refine_iters": 5}, n_l, 1),
-             ("active", {"mu_fixed": 0.004, "refine_iters": 5}, math.ceil(n_l / 49), 0)]
+    # (variant, overrides, free coordinates of the Newton step): the active step moves
+    # mu alone
+    cases = [("passive", {}, 2), ("active", {}, 1), ("active", {"n_tb": 5}, 1),
+             ("passive", {"n_mu": 7, "n_tb": 3}, 2),
+             ("passive", {"mu_fixed": 0.004, "refine_iters": 5}, 1),
+             ("active", {"mu_fixed": 0.004, "refine_iters": 5}, 0)]
     for variant in ("passive", "active"):
-        cases.append((variant, {"tb_fixed": 0.37, "refine_iters": 5}, n_l, 1))
-    for variant, overrides, grid_calls, free in cases:
+        cases.append((variant, {"tb_fixed": 0.37, "refine_iters": 5}, 1))
+    for variant, overrides, free in cases:
         for protocol in Protocol:
-            calls.clear()
             config = reference_config(L_values=distances, protocol=protocol, **overrides)
-            rows = scan(make_params(variant=variant), config)
-            # no call holds more bytes than one n_mu x n_tb grid of floats: a
-            # Newton call holds free + free (free + 1) complex points per distance
-            assert max(calls) <= 8 * config.n_mu * config.n_tb, (variant, overrides)
+            base = make_params(variant=variant)
+            expected = _pruned_grid_calls(base, config)
+            calls.clear()
+            rows = scan(base, config)
+            # the grid's calls, then the Newton step's (complex), then the rows' one
+            # array pass over every distance
+            grid = [(len(v), v[0].size) for v in calls if not np.iscomplexobj(v)][:-1]
+            assert grid == expected, (variant, overrides, protocol)
+            assert calls[-1].shape == (len(distances),)
+            if protocol is Protocol.NONCLASSICAL:  # every distance, on the first call's cells
+                assert sum(d for d, _ in grid) == len(distances)
+                assert {cells for _, cells in grid} == {grid[0][1]}
+            # no call holds more bytes than one n_mu x n_tb grid of floats: a Newton
+            # call holds free + free (free + 1) complex points per distance
+            assert max(v.nbytes for v in calls[:-1]) <= 8 * config.n_mu * config.n_tb, (
+                variant, overrides)
             per_block = config.n_mu * config.n_tb // (2 * (free + free * (free + 1))) if free else 0
             live = sum(row.flag == "" for row in rows)
             blocks = math.ceil(live / per_block) if free else 0
-            # the rows come from one array pass, not from objective calls; each
-            # block's Newton step makes one call per iteration, and converges
-            # in at most eight on these links
-            newton_calls = len(calls) - grid_calls
+            # each block's Newton step makes one call per iteration, and converges in
+            # at most eight on these links
+            newton_calls = sum(np.iscomplexobj(v) for v in calls)
             assert newton_calls <= (config.refine_iters + 1) * blocks, (variant, overrides)
             assert newton_calls <= 8 * blocks, (variant, overrides, newton_calls)
+    # the passive COW scan grids half of its cells, and no distance past 135 km
+    config = reference_config(L_values=distances)
+    grid = _pruned_grid_calls(make_params(), config)
+    assert len(grid) < len(distances)
+    assert sum(cells for _, cells in grid) < 0.55 * len(distances) * 60 * 49
+
+
+def _first_return_from_zero(base, mu, t_b, objective, distances):
+    """(L1, L2, the chain at both): consecutive distances where the objective at
+    (mu, t_B) is 0.0 at L1 and positive at the longer L2."""
+    distances = np.asarray(distances)
+    eta = np.array([total_transmittance(replace(base, L_km=float(L))) for L in distances])
+    values = getattr(_rate_chain(base, eta, mu, t_b), objective)
+    [k, *_] = np.flatnonzero((values[:-1] == 0.0) & (values[1:] > 0.0))
+    pair = (float(distances[k]), float(distances[k + 1]))
+    return (*pair, _rate_chain(base, eta[[k, k + 1]], mu, t_b))
+
+
+def _second_row_is_its_own(base, config):
+    """The last row of a scan whose first two distances fill the first active block."""
+    rows = scan(base, config)
+    [alone] = scan(base, replace(config, L_values=config.L_values[-1:]))
+    assert rows[-1] == alone
+    return alone
+
+
+def test_cow_rate_returns_from_zero_near_the_clamp():
+    # Just short of the COW reach at p_d ~ 0 and e_a = 0, E_p_u is within 1e-8 of 1/2
+    # and h(E_p_u) rounds to 1 or to 1 - 2^-53, so R at one cell returns from 0.0 to
+    # about 1e-16 Q_z at a longer distance.  The pruned grid therefore does not drop
+    # a cell where R is 0.0: only a clamped bound (E_p_u_raw >= 1/2, where h is
+    # exactly 1 and R exactly 0) drops it.
+    base = make_params(p_d=1e-30, eta_d=1.0, e_a=0.0, variant="active")
+    mu, t_b = 1e-4, 0.99
+
+    def positive(L):
+        site = replace(base, L_km=L)
+        return _rate_chain(site, total_transmittance(site), mu, t_b).R > 0.0
+    lo, hi = 0.0, 400.0  # the reach at this cell, about 176.8 km
+    for _ in range(60):
+        lo, hi = ((lo + hi) / 2, hi) if positive((lo + hi) / 2) else (lo, (lo + hi) / 2)
+    L1, L2, chain = _first_return_from_zero(base, mu, t_b, "R",
+                                            lo + 1e-9 * np.arange(-3000, 1000))
+    assert chain.R[0] == 0.0 < chain.R[1] < 1e-15 * chain.Q_z[1]
+    assert (chain.E_p_u_raw < 0.5).all() and (chain.E_b < 1e-20).all()
+    row = _second_row_is_its_own(base, reference_config(
+        L_values=(L1, L1, L2), mu_fixed=mu, n_tb=2, refine_iters=0))
+    assert row.R > 0.0 and row.tB_opt == t_b
+
+
+def test_nonclassical_rate_returns_from_zero_so_its_grid_keeps_every_cell():
+    # At p_d = e_a = 0 and mu = 50, E_x tends to 1/2 as eta falls, and h(E_x) rounds
+    # to 1 or to 1 - 2^-53: R_tilde at one cell is 0.0 at one distance and about
+    # 1e-16 Q_z at a longer one, over a range of eta, not at one rounding step.  No
+    # nonclassical cell is ever dropped.
+    base = make_params(p_d=0.0, eta_d=1.0, e_a=0.0, variant="active")
+    mu, t_b = 50.0, 0.99
+    L1, L2, chain = _first_return_from_zero(base, mu, t_b, "R_tilde", np.arange(8.0, 40.0, 0.5))
+    assert chain.R_tilde[0] == 0.0 < chain.R_tilde[1] < 1e-15 * chain.Q_z[1]
+    row = _second_row_is_its_own(base, reference_config(
+        L_values=(L1, L1, L2), mu_fixed=mu, n_tb=2, refine_iters=0,
+        protocol=Protocol.NONCLASSICAL))
+    assert row.R_tilde > 0.0 and row.tB_opt == t_b
 
 
 def _error(run):
@@ -504,6 +606,34 @@ def test_scan_raises_what_a_per_row_evaluate_point_loop_raises():
                 for L in distances])
             assert per_row is not None and expected in per_row[1], per_row
             assert _error(lambda: scan(base, config)) == per_row, (overrides, protocol)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cells_whose_rate_can_turn_nan_never_die():
+    # A clamped bound makes R exactly 0.0 only where the chain is finite at the
+    # longer distance.  At mu = 900, exp(mu) overflows, and cells clamped at 4 km
+    # are NaN at 8 km.  At p_d = 0 and 16050 km, eta is subnormal: the gains of
+    # the small-mu cells underflow to 0, and their R is NaN, while larger-mu cells
+    # still click; at 300 km every bound is clamped.  Dropping those cells would
+    # make the longer distance's row start at the first cell.
+    base = make_params(p_d=8.344237397853495e-08, eta_d=1.0, e_a=0.37500205129617176,
+                       f_ec=1.4951999085990377)
+    config = reference_config(L_values=(4.0, 8.0), mu_fixed=900.0, refine_iters=0)
+    eta = np.array([[total_transmittance(replace(base, L_km=L))] for L in config.L_values])
+    chain = _rate_chain(base, eta, 900.0, config.tb_grid())
+    assert ((chain.E_p_u_raw[0] >= 0.5) & np.isnan(chain.R[1])).any()
+    cases = [(base, config),
+             (make_params(p_d=0.0, eta_d=1.0), reference_config(L_values=(300.0, 16050.0),
+                                                               refine_iters=0))]
+    for base, config in cases:
+        _, mu, t_b, _, _ = reference_grid(base, config)
+
+        def full_grid_rows():
+            return [stepwise_point(replace(base, L_km=L, mu=float(m), t_B=float(t)))
+                    for L, m, t in zip(config.L_values, mu, t_b)]
+        assert _error(lambda: scan(base, config)) == _error(full_grid_rows), config
+        if _error(full_grid_rows) is None:
+            assert scan(base, config) == full_grid_rows()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -29,11 +29,10 @@ import cowqkd.oracle as oracle
 from cowqkd import (Protocol, ScanConfig, SystemParams, evaluate_point, full_gain_set,
                     gain_bounds, scan)
 from cowqkd.cli import main
-from cowqkd.optimize import _objective_surface
+from cowqkd.optimize import _MU_FINITE, _objective_surface
 from cowqkd.params import total_transmittance
 from cowqkd.security import _accepted, _rate_chain
-from conftest import stepwise_point
-from test_optimize import reference_grid
+from conftest import reference_grid, stepwise_point
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -161,6 +160,97 @@ def test_active_scan_refines_the_full_grid_incumbent(link, distances, mu_box, tb
             start.R, start.R_tilde)[protocol is Protocol.NONCLASSICAL]
         if start.flag or mu_fixed is not None:
             assert point == start
+
+
+# The links of the monotonicity property: p_d up to 0.3, e_a up to 0.49, f up to 2.
+_wide_links = st.fixed_dictionaries({
+    "p_d": st.one_of(st.just(0.0), _log_uniform(1e-10, 0.3)),
+    "e_a": st.one_of(st.just(0.0), st.floats(0.0, 0.49)),
+    "f_ec": st.floats(1.0, 2.0),
+    "variant": st.sampled_from(["passive", "active"]),
+})
+
+
+@PROPERTY_SETTINGS
+@given(link=_wide_links,
+       cells=st.lists(st.tuples(_log_uniform(1e-8, 1000.0), st.floats(0.001, 0.999)),
+                      min_size=1, max_size=30),
+       eta=_log_uniform(1e-8, 1.0),
+       steps=st.lists(st.one_of(_log_uniform(1e-16, 1e-6), st.floats(1e-6, 0.9)),
+                      min_size=1, max_size=8))
+def test_cow_rate_falls_with_eta_and_a_clamped_bound_stays_clamped(link, cells, eta, steps):
+    # What the pruned COW grid of scan rests on, at each cell as eta falls by steps
+    # from a relative 1e-16 up: R never rises by more than the rounding of its
+    # bracket (1e-13 Q_z), and where dark counts keep every gain positive and
+    # exp(mu) is finite, a phase-error bound clamped at 1/2 stays clamped, with R
+    # exactly 0.0.  (R == 0.0 alone does not persist: see
+    # test_optimize.py::test_cow_rate_returns_from_zero_near_the_clamp.)
+    base = SystemParams(L_km=0.0, eta_d=1.0, mu=0.1, t_B=0.5, **link)
+    etas = eta * np.cumprod([1.0, *(1.0 - np.array(steps))])
+    mu, t_b = map(np.array, zip(*cells))
+    with np.errstate(all="ignore"):
+        chain = _rate_chain(base, etas[:, None], mu, t_b, nonclassical=False)
+    rate, q_z = chain.R, chain.Q_z
+    finite = np.isfinite(rate[:-1]) & np.isfinite(rate[1:])
+    rise = np.where(finite, rate[1:] - rate[:-1], 0.0)
+    assert (rise <= 1e-13 * q_z[:-1]).all(), np.argwhere(rise > 1e-13 * q_z[:-1])
+    mortal = (base.p_d > 0.0) & (mu <= _MU_FINITE)
+    clamped = chain.E_p_u_raw >= 0.5
+    assert not (mortal & clamped[:-1] & ~clamped[1:]).any()
+    assert (rate[clamped & mortal] == 0.0).all()
+    # the argument of scan's docstring: the bound is clamped where U >= min(L, 4 q / N+),
+    # and that ratio does not fall as eta falls
+    with np.errstate(all="ignore"):
+        ratio = chain.Q_0x_M1_upper / np.minimum(chain.Q_0x_M0_lower,
+                                                 4.0 * chain.Q_0z_M0 / (2.0 + 2.0 * np.exp(-mu)))
+    assert ((ratio >= 1.0) == clamped)[mortal & np.isfinite(ratio)].all()
+    finite = mortal & np.isfinite(ratio[:-1]) & np.isfinite(ratio[1:])
+    assert (ratio[1:] >= ratio[:-1] * (1.0 - 1e-12))[finite].all()
+
+
+@st.composite
+def _distance_lists(draw):
+    """Unsorted distances: anchors in [0, 300] km, each alone, doubled, or with a
+    neighbour from 1e-6 km to 1 km further."""
+    distances = []
+    for anchor in draw(st.lists(st.floats(0.0, 300.0), min_size=1, max_size=6)):
+        gap = draw(st.one_of(st.none(), st.just(0.0), _log_uniform(1e-6, 1.0)))
+        distances += [anchor] if gap is None else [anchor, anchor + gap]
+    return draw(st.permutations(distances))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(link=_links.map(lambda link: {k: v for k, v in link.items() if k != "L_km"}),
+       atten=st.one_of(st.just(0.0), st.just(0.2), st.floats(0.0, 1.0)),
+       distances=_distance_lists(),
+       mu_box=st.tuples(_log_uniform(1e-5, 0.1), _log_uniform(0.2, 1000.0)),
+       tb_box=st.tuples(st.floats(0.001, 0.5), st.floats(0.5, 0.999)),
+       n_mu=st.integers(2, 12), n_tb=st.integers(2, 9),
+       refine_iters=st.one_of(st.just(0), st.integers(1, 5)),
+       mu_fixed=st.one_of(st.none(), st.none(), st.floats(700.0, 1000.0)),
+       protocol=st.sampled_from(list(Protocol)))
+def test_pruned_scan_rows_equal_full_grid_and_one_distance_rows(
+        link, atten, distances, mu_box, tb_box, n_tb, n_mu, refine_iters, mu_fixed, protocol):
+    # The hypothesis twin of test_optimize.py::test_lockstep_scan_equals_one_distance_scans:
+    # a scan that grids only the cells left live by a higher eta gives, at
+    # refine_iters=0, the full grid's rows and, refined, each distance's own scan;
+    # errors included.  mu_max and mu_fixed reach 1000, where the bound has NaN cells.
+    assume(tb_box[0] < tb_box[1])
+    base = SystemParams(L_km=0.0, mu=0.1, t_B=0.5, atten_db_per_km=atten, **link)
+    config = ScanConfig(L_values=tuple(distances), mu_min=mu_box[0], mu_max=mu_box[1],
+                        n_mu=n_mu, tb_min=tb_box[0], tb_max=tb_box[1], n_tb=n_tb,
+                        refine_iters=refine_iters, protocol=protocol, mu_fixed=mu_fixed)
+
+    def expected_rows():
+        if refine_iters:
+            return [row for L in distances
+                    for row in scan(base, replace(config, L_values=(L,)))]
+        _, mu, t_b, _, _ = reference_grid(base, config)
+        return [stepwise_point(replace(base, L_km=L, mu=float(m), t_B=float(t)), protocol)
+                for L, m, t in zip(distances, mu, t_b)]
+
+    with np.errstate(all="ignore"):
+        assert _outcome(lambda: scan(base, config)) == _outcome(expected_rows)
 
 
 # Links and settings where most rates are positive and no clamp is active.
