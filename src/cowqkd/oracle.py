@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy  # noqa: F401  (loads no submodule; perfbench's environment line reads its version)
@@ -52,14 +52,6 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 10_000
-
-# Substream indices, one per estimated sequence.
-_STREAM_DATA_0Z = 0
-_STREAM_DATA_1Z = 1
-_STREAM_MON_0Z = 2
-_STREAM_MON_1Z = 3
-_STREAM_MON_AA = 4
-_STREAM_MON_00 = 5
 
 # One-sided 4-sigma tail mass, used by the exact small-count check: the value
 # of scipy.stats.norm.cdf(-4.0) (0.5*erfc(4/sqrt(2)) differs in the last bit).
@@ -191,90 +183,79 @@ def _squashed_sequence(lambda_a: float, lambda_b: float, p_d: float, n: int,
     return _split_double_clicks(*_event_counts(trials_a, trials_b), rng)
 
 
-def _estimate(name: str, count: int, n: int) -> OracleEstimate:
-    p_hat = count / n
-    return OracleEstimate(
-        gain_name=name,
-        estimate=p_hat,
-        n_samples=n,
-        std_err=float(np.sqrt(p_hat * (1.0 - p_hat) / n)),
-    )
+def _sequences(params: SystemParams) -> dict[str, tuple[tuple, ...]]:
+    """Every sampled sequence, per line: (substream, gain names, intensities, read).
+
+    Names and mean photon numbers are those of its two detectors, in report
+    order.  Per data-line logic sequence the correct slot sees
+    lambda * (1 - e_a) and the wrong slot lambda * e_a.  On the monitoring
+    line a single non-empty pulse feeds both interferometer ports equally;
+    the all-bright sequence sends (1 - e_a) of its light to the constructive
+    port and e_a to the destructive one; the all-vacuum sequence is dark.
+
+    The passive splitter passes t_B of each pulse to the data line and the
+    rest to the monitoring line, and every trial is read (read is None).  The
+    active switch routes a trial to the data line with probability read = t_B
+    and gives it the whole pulse; unrouted trials leave the data detectors
+    unread.  Every sampled monitoring trial is one routed there.
+    """
+    active = params.variant is Variant.ACTIVE
+    eta = total_transmittance(params)
+    lam = params.mu * eta if active else params.t_B * params.mu * eta
+    read = params.t_B if active else None
+    share = params.mu if active else (1.0 - params.t_B) * params.mu
+    half_pulse = share * eta / 2.0
+    nu = 2.0 * share * eta
+    signal = (lam * (1.0 - params.e_a), lam * params.e_a)
+    return {
+        "data": ((0, ("Q_0z_T0", "Q_0z_T1"), signal, read),
+                 (1, ("Q_1z_T1", "Q_1z_T0"), signal, read)),
+        "monitoring": ((2, ("Q_0z_M0", "Q_0z_M1"), (half_pulse, half_pulse), None),
+                       (3, ("Q_1z_M0", "Q_1z_M1"), (half_pulse, half_pulse), None),
+                       (4, ("Q_aa_M0", "Q_aa_M1"), ((1.0 - params.e_a) * nu, params.e_a * nu), None),
+                       (5, ("Q_00_M0", "Q_00_M1"), (0.0, 0.0), None)),
+    }
+
+
+def _sample_line(params: SystemParams, n_samples: int, seed: int,
+                 line: str) -> dict[str, OracleEstimate]:
+    """Sampled gains of one line's sequences, each from its own substream.
+
+    A sequence with a read probability draws its Binomial(n, read) read
+    count first.  Every estimate is a count over all n_samples trials.
+    """
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
+    out: dict[str, OracleEstimate] = {}
+    for stream, names, (lambda_a, lambda_b), read in _sequences(params)[line]:
+        rng = _substream(seed, stream)
+        n_read = n_samples if read is None else int(rng.binomial(n_samples, read))
+        counts = _squashed_sequence(lambda_a, lambda_b, params.p_d, n_read, rng)
+        for name, count in zip(names, counts):
+            p_hat = count / n_samples
+            out[name] = OracleEstimate(name, p_hat, n_samples,
+                                       float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples)))
+    return out
 
 
 def estimate_data_gains(params: SystemParams, n_samples: int,
                         seed: int) -> dict[str, OracleEstimate]:
-    """Sampled data-line gains Q_0z_T0, Q_0z_T1, Q_1z_T0, Q_1z_T1.
-
-    Per logic sequence the correct slot sees lambda * (1 - e_a) and the wrong
-    slot lambda * e_a, plus independent dark counts; double clicks are
-    assigned uniformly.  The passive splitter gives every trial
-    lambda = t_B * mu * eta_tot.  The active switch routes a trial to the
-    data line with probability t_B and then gives it the whole pulse,
-    lambda = mu * eta_tot; the other trials leave the data detector unread,
-    so only the routed trials are sampled.
-    """
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
-    active = params.variant is Variant.ACTIVE
-    eta = total_transmittance(params)
-    lam = params.mu * eta if active else params.t_B * params.mu * eta
-    out: dict[str, OracleEstimate] = {}
-    for label, stream, correct_slot, wrong_slot in (
-        ("0z", _STREAM_DATA_0Z, "T0", "T1"),
-        ("1z", _STREAM_DATA_1Z, "T1", "T0"),
-    ):
-        rng = _substream(seed, stream)
-        n_read = int(rng.binomial(n_samples, params.t_B)) if active else n_samples
-        n_correct, n_wrong = _squashed_sequence(lam * (1.0 - params.e_a), lam * params.e_a,
-                                                params.p_d, n_read, rng)
-        out[f"Q_{label}_{correct_slot}"] = _estimate(f"Q_{label}_{correct_slot}", n_correct, n_samples)
-        out[f"Q_{label}_{wrong_slot}"] = _estimate(f"Q_{label}_{wrong_slot}", n_wrong, n_samples)
-    return out
-
-
-def _monitoring_port_intensities(params: SystemParams) -> dict[str, tuple[int, float, float]]:
-    """Per-sequence (stream, I_M0, I_M1) port intensities of the squash model.
-
-    A single non-empty pulse feeds both interferometer ports equally; the
-    all-bright sequence interferes, sending (1 - e_a) of its light to the
-    constructive port and e_a to the destructive one; the all-vacuum sequence
-    carries no light at all.  The passive splitter passes 1 - t_B of each
-    pulse to the monitoring line.  The active switch passes the whole pulse,
-    and every sampled trial is one routed to the monitoring line.
-    """
-    eta = total_transmittance(params)
-    share = params.mu if params.variant is Variant.ACTIVE else (1.0 - params.t_B) * params.mu
-    half_pulse = share * eta / 2.0
-    nu = 2.0 * share * eta
-    return {
-        "0z": (_STREAM_MON_0Z, half_pulse, half_pulse),
-        "1z": (_STREAM_MON_1Z, half_pulse, half_pulse),
-        "aa": (_STREAM_MON_AA, (1.0 - params.e_a) * nu, params.e_a * nu),
-        "00": (_STREAM_MON_00, 0.0, 0.0),
-    }
+    """Sampled data-line gains Q_0z_T0, Q_0z_T1, Q_1z_T1, Q_1z_T0."""
+    return _sample_line(params, n_samples, seed, "data")
 
 
 def estimate_monitoring_gains(params: SystemParams, n_samples: int,
                               seed: int) -> dict[str, OracleEstimate]:
     """Sampled monitoring-line gains for the logic and decoy sequences."""
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
-    out: dict[str, OracleEstimate] = {}
-    for label, (stream, i_m0, i_m1) in _monitoring_port_intensities(params).items():
-        rng = _substream(seed, stream)
-        n_m0, n_m1 = _squashed_sequence(i_m0, i_m1, params.p_d, n_samples, rng)
-        out[f"Q_{label}_M0"] = _estimate(f"Q_{label}_M0", n_m0, n_samples)
-        out[f"Q_{label}_M1"] = _estimate(f"Q_{label}_M1", n_m1, n_samples)
-    return out
+    return _sample_line(params, n_samples, seed, "monitoring")
 
 
 def model_monitoring_gains(params: SystemParams) -> dict[str, float]:
     """Closed form of the squash model the oracle samples on the monitoring line."""
     out: dict[str, float] = {}
-    for label, (_, i_m0, i_m1) in _monitoring_port_intensities(params).items():
-        q_m0, q_m1 = two_detector_squash(i_m0, i_m1, params.p_d)
-        out[f"Q_{label}_M0"] = float(q_m0)
-        out[f"Q_{label}_M1"] = float(q_m1)
+    for _, names, (i_m0, i_m1), _ in _sequences(params)["monitoring"]:
+        for name, gain in zip(names, two_detector_squash(i_m0, i_m1, params.p_d)):
+            out[name] = float(gain)
     return out
 
 
@@ -377,7 +358,6 @@ def _four_sigma_check(name: str, count: int, n: int, expected: float) -> GainChe
 
 
 DataModel = Callable[[SystemParams], tuple[float, float, float, float]]
-MonitoringModel = Callable[[SystemParams], Mapping[str, float]]
 
 
 def default_verification_cases() -> list[tuple[str, SystemParams]]:
@@ -399,8 +379,7 @@ def default_verification_cases() -> list[tuple[str, SystemParams]]:
 
 def run_verification(n_samples: int, seed: int,
                      cases: Sequence[tuple[str, SystemParams]] | None = None,
-                     data_model: DataModel | None = None,
-                     monitoring_model: MonitoringModel | None = None) -> VerificationReport:
+                     data_model: DataModel | None = None) -> VerificationReport:
     """Oracle comparison over a parameter grid.
 
     Gated checks (4 sigma): sampled data-line gains against the analytic
@@ -409,32 +388,24 @@ def run_verification(n_samples: int, seed: int,
     monitoring gains, the fields of :func:`full_gain_set` of the same name, is
     attached per case, unguarded.
 
-    The model callables exist so a harness self-test can inject a tampered
-    analytic formula and confirm the gate trips.
+    The data model is a parameter so a harness self-test can inject a
+    tampered analytic formula and confirm the gate trips.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES}, got {n_samples}")
     if cases is None:
         cases = default_verification_cases()
     data_model = data_model or data_line_gains
-    monitoring_model = monitoring_model or model_monitoring_gains
 
     reports: list[CaseReport] = []
     for label, params in cases:
-        checks: list[GainCheck] = []
-
         data_est = estimate_data_gains(params, n_samples, seed)
-        expected_data = dict(zip(("Q_0z_T0", "Q_0z_T1", "Q_1z_T0", "Q_1z_T1"),
-                                 data_model(params)))
-        for name, est in data_est.items():
-            count = round(est.estimate * n_samples)
-            checks.append(_four_sigma_check(name, count, n_samples, expected_data[name]))
-
         mon_est = estimate_monitoring_gains(params, n_samples, seed)
-        expected_mon = monitoring_model(params)
-        for name, est in mon_est.items():
-            count = round(est.estimate * n_samples)
-            checks.append(_four_sigma_check(name, count, n_samples, expected_mon[name]))
+        # the data model returns its gains in name order
+        expected = dict(zip(sorted(data_est), data_model(params)), **model_monitoring_gains(params))
+        checks = tuple(_four_sigma_check(name, round(est.estimate * n_samples), n_samples,
+                                         expected[name])
+                       for name, est in {**data_est, **mon_est}.items())
 
         closed = full_gain_set(params)
         ratios = []
@@ -443,5 +414,5 @@ def run_verification(n_samples: int, seed: int,
             ratio = est.estimate / reference if reference > 0.0 else float("nan")
             ratios.append(RatioEntry(name, est.estimate, reference, ratio))
 
-        reports.append(CaseReport(label, params, tuple(checks), tuple(ratios)))
+        reports.append(CaseReport(label, params, checks, tuple(ratios)))
     return VerificationReport(n_samples=n_samples, seed=seed, cases=tuple(reports))

@@ -319,10 +319,13 @@ def key_rate_nonclassical(q_z: float, e_x: float, e_z: float, f_ec: float) -> fl
 
 
 def plob_bound(eta_ch: float) -> float:
-    """Repeaterless secret-key capacity -log2(1 - eta) of a lossy channel."""
+    """Repeaterless secret-key capacity -log2(1 - eta) of a lossy channel.
+
+    Through log1p, so a small eta keeps its relative accuracy and 0 gives +0.0.
+    """
     if not (0.0 <= eta_ch < 1.0):
         raise ValueError(f"eta_ch must be in [0, 1), got {eta_ch!r}")
-    return -math.log2(1.0 - eta_ch)
+    return -math.log1p(-eta_ch) / math.log(2.0)
 
 
 def azuma_deviation(K: float, fail_prob: float) -> float:

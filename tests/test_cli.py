@@ -394,6 +394,19 @@ def test_verify_passes_mapping(capsys):
     assert "closed-form gain ratios" in out
 
 
+# The stdout of `cowqkd verify --seed 1 --samples 2e5`: the check order, the
+# estimates, z scores and verdicts, the ratio report and its format.  The
+# oracle's counts are integers and both SIMD dispatch levels of numpy print
+# the same bytes (test_points_reference reruns this test with AVX-512 off).
+VERIFY_ARGV = ("verify", "--seed", "1", "--samples", "2e5")
+
+
+def test_verify_matches_reference_bytes(capsys):
+    code, out, err = run_cli(capsys, *VERIFY_ARGV)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (Path(__file__).parent / "data" / "verify_seed1_2e5.txt").read_text(encoding="utf-8")
+
+
 def test_verify_failure_maps_to_exit_three(monkeypatch, capsys):
     from cowqkd.oracle import CaseReport, GainCheck, VerificationReport
 

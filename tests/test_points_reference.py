@@ -15,7 +15,8 @@ change, run
         PYTHONPATH=src python tests/test_points_reference.py
 
 and write the ``GOLDEN_SCANS`` CSVs of ``tests/test_cli.py`` to ``tests/data/``
-with ``cowqkd scan ... --out``; they must come out the same both ways.
+with ``cowqkd scan ... --out``, and the stdout of its ``VERIFY_ARGV`` to
+``tests/data/verify_seed1_2e5.txt``; they must come out the same both ways.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from conftest import LIBM_FEATURES_OFF, reference_dir
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = reference_dir() / "points_reference.txt"
 BYTE_TESTS = ("tests/test_cli.py::test_scan_matches_reference_csv_bytes",
+              "tests/test_cli.py::test_verify_matches_reference_bytes",
               "tests/test_points_reference.py::test_points_match_reference_bytes")
 SEED = 20211
 N_POINTS = 1600
@@ -140,7 +142,7 @@ def test_reference_bytes_with_avx512_dispatch_off():
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           *BYTE_TESTS], cwd=ROOT, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stdout[-4000:]
-    assert "7 passed" in run.stdout
+    assert "8 passed" in run.stdout
 
 
 if __name__ == "__main__":

@@ -107,6 +107,44 @@ def test_gain_bounds_dark_free_upper_reference():
     assert bounds.Q_0x_M1_upper == pytest.approx(0.0026270840799438402, rel=1e-12)
 
 
+def _cauchy_bounds_mp(q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu):
+    """(upper, lower) from the README's derivation, in 40-digit mpmath.
+
+    With A = e^{mu/2} sqrt(Q_aa) + e^{-mu/2} sqrt(Q_00) and ||Gamma|| = e^mu - 1:
+    N+ Q_0x_M1 <= (A_1 + e^{-mu/2} ||Gamma||)^2 and
+    N+ Q_0x_M0 >= (e^{mu/2} sqrt(Q_aa_M0) - e^{-mu/2} sqrt(Q_00_M0))^2
+    - 2 e^{-mu/2} ||Gamma|| A_0.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu = map(mpmath.mpf, (q_aa_m0, q_aa_m1, q_00_m0,
+                                                                 q_00_m1, mu))
+        half, inv_half = mpmath.exp(mu / 2), mpmath.exp(-mu / 2)
+        gamma = mpmath.exp(mu) - 1
+        n_plus = 2 * (1 + mpmath.exp(-mu))
+        a_1 = half * mpmath.sqrt(q_aa_m1) + inv_half * mpmath.sqrt(q_00_m1)
+        a_0 = half * mpmath.sqrt(q_aa_m0) + inv_half * mpmath.sqrt(q_00_m0)
+        b_0 = half * mpmath.sqrt(q_aa_m0) - inv_half * mpmath.sqrt(q_00_m0)
+        return (float((a_1 + inv_half * gamma) ** 2 / n_plus),
+                float((b_0 ** 2 - 2 * inv_half * gamma * a_0) / n_plus))
+
+
+@pytest.mark.parametrize("q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu", [
+    (0.95, 0.02, 1e-4, 1e-3, 0.5),
+    (0.98, 0.05, 1e-4, 0.01, 0.6),
+    (0.6, 0.1, 1e-3, 0.02, 0.3),
+    (0.3, 1e-3, 1e-4, 1e-5, 0.1),
+    (0.05, 2e-4, 3e-6, 1e-7, 0.02),
+])
+def test_gain_bounds_match_the_cauchy_derivation(q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu):
+    # every decoy gain positive, so each cross term counts, and neither bound clamped
+    upper, lower = _cauchy_bounds_mp(q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu)
+    assert 0.0 < lower and upper < 1.0
+    bounds = gain_bounds(q_aa_m0, q_aa_m1, q_00_m0, q_00_m1, mu)
+    assert bounds.Q_0x_M1_upper == pytest.approx(upper, rel=1e-13, abs=0.0)
+    assert bounds.Q_0x_M0_lower == pytest.approx(lower, rel=1e-13, abs=0.0)
+
+
 def test_gain_bounds_lower_clamped_at_zero():
     # equal decoy and vacuum gains: the squared difference nearly vanishes
     # while the subtracted residual stays finite, driving the raw bound negative
@@ -287,6 +325,18 @@ def test_plob_values():
     assert plob_bound(0.0) == 0.0
     assert plob_bound(0.5) == 1.0
     assert plob_bound(0.9) == pytest.approx(3.3219280948873623, abs=1e-12)
+
+
+@pytest.mark.parametrize("eta_ch", [1e-8, 1e-12, 1e-20])
+def test_plob_keeps_its_relative_accuracy_at_small_transmittance(eta_ch):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        exact = float(-mpmath.log(1 - mpmath.mpf(eta_ch), 2))
+    assert plob_bound(eta_ch) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+def test_plob_of_a_lossless_channel_is_positive_zero():
+    assert math.copysign(1.0, plob_bound(0.0)) == 1.0
 
 
 def test_plob_rejects_divergent_input():
