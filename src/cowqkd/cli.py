@@ -344,10 +344,7 @@ def _cmd_finite_size(cfg: argparse.Namespace) -> int:
     """concentration deviation for K rounds"""
     if cfg.K is None or cfg.fail_prob is None:
         raise ConfigError("finite-size requires --K and --fail-prob")
-    try:
-        epsilon = azuma_deviation(cfg.K, cfg.fail_prob)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    epsilon = azuma_deviation(cfg.K, cfg.fail_prob)
     _emit([f"K={cfg.K!r}", f"fail_prob={cfg.fail_prob!r}", f"epsilon={epsilon!r}"], cfg.out)
     return EXIT_OK
 

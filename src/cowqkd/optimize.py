@@ -1,16 +1,17 @@
 """Key-rate maximization over (mu, t_B) and distance scans.
 
 Grid, then Newton: each distance's objective is evaluated on a log-spaced mu
-grid times a linear t_B grid (for the active variant, whose rate is t_B times
-a t_B-free bracket, on the tb_max column of many distances at once); then a
-safeguarded projected Newton step converges the incumbents, in lockstep.  A
-scan grids its distances by decreasing transmittance, and the COW grid skips
-the mu rows whose phase-error bound a higher transmittance clamped at 1/2 on
-every t_B, where R is exactly 0.0 at every lower one (see ``scan``).  The
-grid, the Newton calls, the rows and ``evaluate_point`` all run the one rate
-chain, ``security._rate_chain``: this module only searches.  A row is a
-converged optimum, independent of the other distances of its scan.  Grid ties
-resolve to the smallest mu, then t_B, and a NaN cell or candidate never wins.
+grid times a linear t_B grid, in calls of at most one n_mu x n_tb grid of
+cells; then a safeguarded projected Newton step converges the incumbents, in
+lockstep.  The active rate is t_B times a t_B-free bracket, so an active scan
+is the scan pinned at t_B = tb_max.  A scan grids its distances by decreasing
+transmittance, and the COW grid skips the mu rows whose phase-error bound a
+higher transmittance clamped at 1/2 on every t_B, where R is exactly 0.0 at
+every lower one (see ``scan``).  The grid, the Newton calls, the rows and
+``evaluate_point`` all run the one rate chain, ``security._rate_chain``: this
+module only searches.  A row is a converged optimum, independent of the other
+distances of its scan.  Grid ties resolve to the smallest mu, then t_B, and a
+NaN cell or candidate never wins.
 """
 
 from __future__ import annotations
@@ -297,11 +298,11 @@ def optimize_point(base_params: SystemParams, config: ScanConfig) -> RatePoint:
 def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     """Maximize the configured key rate over (mu, t_B) at every distance, in input order.
 
-    Each distance's full-grid incumbent (an active scan without ``tb_fixed``
-    grids only the ``tb_max`` column, ``n_tb`` distances per call, and keeps
-    t_B there) is converged by :func:`_newton` where its rate is positive, in
-    at most ``refine_iters`` steps (0 keeps the incumbents) and in blocks that
-    take no more bytes than one grid.  The rows, from one array pass
+    Each distance's grid incumbent is converged by :func:`_newton` where its
+    rate is positive, in at most ``refine_iters`` steps (0 keeps the
+    incumbents).  A grid call holds at most one ``n_mu x n_tb`` grid of cells,
+    so it grids ``n_mu n_tb // (len(mu_grid) len(tb_grid))`` distances (at least
+    one), and a Newton block takes no more bytes.  The rows, from one array pass
     (:func:`_rows`), equal :func:`evaluate_point` at each optimum, errors
     included.  Zero-rate rows are flagged, never fatal.
 
@@ -325,17 +326,20 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     detectors saturate.  The nonclassical R_tilde returns from 0.0 over a range
     of eta (E_x tends to 1/2 at p_d = e_a = 0), so its grid keeps every cell.
     """
+    if base_params.variant is Variant.ACTIVE and config.tb_fixed is None:
+        # The active rate is t_B times a t_B-free bracket, so it rises with t_B
+        # wherever it is positive: its optimum is on the box edge t_B = tb_max.
+        config = replace(config, tb_fixed=config.tb_max)
     protocol = config.protocol
     mu_grid = config.mu_grid()
     tb_grid = config.tb_grid()
     sites = [replace(base_params, L_km=float(L)) for L in config.L_values]
     eta = np.array([total_transmittance(site) for site in sites])
-    active = base_params.variant is Variant.ACTIVE
 
     n = len(sites)
     best_rate, i_mu, i_tb = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=int)
-    columns = tb_grid[-1:] if active and config.tb_fixed is None else tb_grid
-    per_call = len(tb_grid) // len(columns)  # no call grids more cells than one full grid
+    # no call grids more cells than one n_mu x n_tb grid
+    per_call = max(1, config.n_mu * config.n_tb // (len(mu_grid) * len(tb_grid)))
     order = np.argsort(-eta, kind="stable")  # decreasing transmittance
     cow = protocol is Protocol.COW
     rows = np.arange(len(mu_grid))  # the mu rows with a live cell
@@ -344,10 +348,10 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     mortal = (mu_grid <= _MU_FINITE) & (base_params.p_d > 0.0)
     for start in range(0, n, per_call):
         block = order[start:start + per_call]
-        surface = np.zeros((len(block), len(mu_grid), len(columns)))
+        surface = np.zeros((len(block), len(mu_grid), len(tb_grid)))
         if rows.size:
             chain = _rate_chain(base_params, eta[block, None, None], mu_grid[rows, None],
-                                columns, cow=cow, nonclassical=not cow)
+                                tb_grid, cow=cow, nonclassical=not cow)
             # A NaN cell (overflow at huge mu) never wins.
             surface[:, rows] = np.fmax(chain.R if cow else chain.R_tilde, -np.inf)
             if cow:
@@ -355,15 +359,12 @@ def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
         surface = surface.reshape(len(block), -1)
         # in C order, ties resolve to the smallest mu, then the smallest t_B
         flat_best = np.argmax(surface, axis=1)
-        i_mu[block], i_tb[block] = np.unravel_index(flat_best, (len(mu_grid), len(columns)))
+        i_mu[block], i_tb[block] = np.unravel_index(flat_best, (len(mu_grid), len(tb_grid)))
         best_rate[block] = surface[np.arange(len(block)), flat_best]
-    if len(columns) < len(tb_grid):  # the full grid's incumbent: tb_max, or tb_min at rate 0
-        i_tb[:] = np.where(best_rate > 0.0, len(tb_grid) - 1, 0)
     best = np.stack([mu_grid[i_mu], tb_grid[i_tb]], axis=1)
 
     live = np.flatnonzero(best_rate > 0.0)
-    dims = [i for i, free in enumerate((config.mu_fixed is None,
-                                        config.tb_fixed is None and not active)) if free]
+    dims = [i for i, free in enumerate((config.mu_fixed is None, config.tb_fixed is None)) if free]
     if dims and config.refine_iters:
         # A Newton call holds d (d + 2) complex points per distance (16 B each),
         # for d free coordinates: no more bytes than one real grid.

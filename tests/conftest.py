@@ -19,6 +19,7 @@ from cowqkd import (
     plob_bound,
     total_transmittance,
 )
+from cowqkd.params import Variant
 from cowqkd.optimize import FLAG_NO_POSITIVE_RATE, _objective_surface
 
 # points_reference.txt comes in two sets, because numpy's AVX-512 exp, expm1
@@ -100,3 +101,27 @@ def reference_grid(base, config):
         cells.append((surface[best], *np.unravel_index(best, mu_mesh.shape)))
     rate, i_mu, i_tb = (np.array(v) for v in zip(*cells))
     return rate, mu_grid[i_mu], tb_grid[i_tb], i_mu, i_tb
+
+
+def searched_config(base, config):
+    """The config whose full grid a scan of config searches.
+
+    The active rate is t_B times a t_B-free bracket, so an active scan that
+    leaves t_B free is the scan pinned at tb_max.
+    """
+    if base.variant is Variant.ACTIVE and config.tb_fixed is None:
+        return replace(config, tb_fixed=config.tb_max)
+    return config
+
+
+def scan_incumbents(base, config):
+    """(rate, mu, t_B) arrays of the grid cells a scan of config starts from.
+
+    The full grid's incumbent where its rate is positive (for the active
+    variant, the factorisation puts it on the tb_max column), and elsewhere the
+    incumbent of the grid the scan searches (``searched_config``).
+    """
+    full = reference_grid(base, config)[:3]
+    searched = reference_grid(base, searched_config(base, config))[:3]
+    positive = full[0] > 0.0
+    return tuple(np.where(positive, f, s) for f, s in zip(full, searched))

@@ -442,6 +442,7 @@ def test_finite_size_inversion_identity(capsys):
 def test_finite_size_rejects_zero_rounds(capsys):
     code, _, err = run_cli(capsys, "finite-size", "--K", "0", "--fail-prob", "1e-10")
     assert code == EXIT_CONFIG
+    assert err == "error: K must be a finite number >= 1, got 0.0\n"
 
 
 def test_finite_size_requires_flags(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 
 import cowqkd.optimize as optimize
-from cowqkd import ParameterError, Protocol, ScanConfig, evaluate_point, optimize_point, scan
+from cowqkd import (NoMonitoringDetectionError, ParameterError, Protocol, ScanConfig,
+                    evaluate_point, optimize_point, scan)
 from cowqkd.optimize import FLAG_NO_POSITIVE_RATE, _objective_surface
 from cowqkd.params import Variant, total_transmittance
 from cowqkd.security import _rate_chain
-from conftest import make_params, reference_grid, stepwise_point
+from conftest import (make_params, reference_grid, scan_incumbents, searched_config,
+                      stepwise_point)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -370,9 +373,13 @@ def test_scan_rows_reach_the_golden_section_references():
 
 
 def test_active_rows_keep_tb_max():
-    # A row near the nonclassical reach (bracket R_tilde / Q_z about 5e-5).  The
-    # active rate is t_B times a t_B-free bracket, so the scan keeps tb_max and
-    # refines mu alone.
+    # The active rate is t_B times a t_B-free bracket, so the scan keeps tb_max and
+    # refines mu alone: on every row of the active reference scans, zero-rate rows
+    # included, and on a row near the nonclassical reach (bracket R_tilde / Q_z
+    # about 5e-5).
+    for base, config in itertools.islice(reference_links(), 6):  # the reference CSVs' links
+        if base.variant is Variant.ACTIVE:
+            assert {point.tB_opt for point in scan(base, config)} == {config.tb_max}, config
     base = make_params(L_km=152.6, p_d=1.773396295930934e-09, eta_d=0.4653810423139731,
                        e_a=0.05957046180094523, f_ec=1.185609361163892, variant="active")
     config = reference_config(L_values=(152.6,), mu_min=2.8258717866809313e-06,
@@ -398,13 +405,15 @@ def test_lockstep_scan_equals_one_distance_scans():
                 base = make_params(variant=variant, e_a=0.01, **params)
                 config = reference_config(L_values=distances, protocol=protocol, **overrides)
                 points = scan(base, config)
-                grid_rate, grid_mu, grid_tb, _, _ = reference_grid(base, config)
+                grid_rate, grid_mu, grid_tb = scan_incumbents(base, config)
                 for L, point, rate, mu, t_b in zip(distances, points, grid_rate, grid_mu, grid_tb):
                     # a row does not depend on the other distances of its scan
                     assert scan(base, replace(config, L_values=(L,))) == [point]
                     assert point == stepwise_point(
                         replace(base, L_km=L, mu=point.mu_opt, t_B=point.tB_opt), protocol)
-                    # the search starts at the full grid's incumbent and never loses to it
+                    # the search starts at the full grid's incumbent, or at a zero rate
+                    # the searched grid's (an active scan's tb_max column), and never
+                    # loses to it
                     objective = point.R if protocol is Protocol.COW else point.R_tilde
                     if config.refine_iters == 0 or rate <= 0.0:
                         assert (point.mu_opt, point.tB_opt, objective) == (mu, t_b, rate)
@@ -440,26 +449,24 @@ def test_scan_memory_is_per_distance():
 def _pruned_grid_calls(base, config):
     """(distances, cells) of each grid call of a scan, from full-grid chains.
 
-    Distances are visited by decreasing eta, in blocks of n_tb distances on the
-    active tb_max column and one distance otherwise.  A block grids the mu rows
-    that hold a cell live after the previous block; a COW cell dies where its
-    phase-error bound is clamped at 1/2 (p_d > 0 and mu below 700 on every case
-    here), and a block with no live cell makes no call.
+    Distances are visited by decreasing eta, in blocks of as many distances as
+    fit one n_mu x n_tb grid of the searched grid's cells.  A block grids the
+    mu rows that hold a cell live after the previous block; a COW cell dies
+    where its phase-error bound is clamped at 1/2 (p_d > 0 and mu below 700 on
+    every case here), and a block with no live cell makes no call.
     """
     mu_grid, tb_grid = config.mu_grid(), config.tb_grid()
-    columns = tb_grid[-1:] if base.variant is Variant.ACTIVE and config.tb_fixed is None \
-        else tb_grid
-    per_call = len(tb_grid) // len(columns)
+    per_call = max(1, config.n_mu * config.n_tb // (len(mu_grid) * len(tb_grid)))
     eta = [total_transmittance(replace(base, L_km=L)) for L in config.L_values]
     order = sorted(range(len(eta)), key=lambda k: -eta[k])
-    live = np.ones((len(mu_grid), len(columns)), dtype=bool)
+    live = np.ones((len(mu_grid), len(tb_grid)), dtype=bool)
     calls = []
     for start in range(0, len(order), per_call):
         block = order[start:start + per_call]
         if live.any():
-            calls.append((len(block), int(live.any(axis=1).sum()) * len(columns)))
+            calls.append((len(block), int(live.any(axis=1).sum()) * len(tb_grid)))
         if config.protocol is Protocol.COW:
-            chain = _rate_chain(base, eta[block[-1]], mu_grid[:, None], columns[None, :],
+            chain = _rate_chain(base, eta[block[-1]], mu_grid[:, None], tb_grid[None, :],
                                 nonclassical=False)
             live &= ~(chain.E_p_u_raw >= 0.5)
     return calls
@@ -487,7 +494,7 @@ def test_scan_objective_call_budget(monkeypatch):
         for protocol in Protocol:
             config = reference_config(L_values=distances, protocol=protocol, **overrides)
             base = make_params(variant=variant)
-            expected = _pruned_grid_calls(base, config)
+            expected = _pruned_grid_calls(base, searched_config(base, config))
             calls.clear()
             rows = scan(base, config)
             # the grid's calls, then the Newton step's (complex), then the rows' one
@@ -634,6 +641,26 @@ def test_cells_whose_rate_can_turn_nan_never_die():
         assert _error(lambda: scan(base, config)) == _error(full_grid_rows), config
         if _error(full_grid_rows) is None:
             assert scan(base, config) == full_grid_rows()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_active_scan_at_subnormal_transmittance_reports_its_tb_max_cell():
+    # At p_d = 0 and 15900-16150 km, eta is subnormal, and the active rate, t_B
+    # times a bracket, underflows at small t_B but not at tb_max.  The scan grids
+    # and reports the tb_max column: a zero-rate row at 15900 and 15950 km, and
+    # further on the missing monitoring clicks that the full grid's rows raise.
+    base = make_params(p_d=0.0, eta_d=0.8, e_a=0.0, variant="active")
+    for L in (15900.0, 15950.0):
+        config = reference_config(L_values=(L,))
+        [row] = scan(base, config)
+        assert (row.flag, row.tB_opt) == (FLAG_NO_POSITIVE_RATE, config.tb_max)
+        assert row == stepwise_point(replace(base, L_km=L, mu=row.mu_opt, t_B=row.tB_opt))
+    for L in (16000.0, 16050.0, 16100.0, 16150.0):
+        config = reference_config(L_values=(L,))
+        _, [mu], [t_b], _, _ = reference_grid(base, config)
+        full_grid = _error(lambda: stepwise_point(replace(base, L_km=L, mu=mu, t_B=t_b)))
+        assert full_grid is not None and full_grid[0] is NoMonitoringDetectionError, full_grid
+        assert _error(lambda: scan(base, config)) == full_grid, L
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

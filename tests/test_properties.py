@@ -6,9 +6,9 @@ reference is the public step API, one call at a time (``stepwise_point``).
 Hypothesis draws operating points over the validated parameter space (p_d and
 e_a include 0, mu spans 1e-5 to 30, L spans 0 to 300 km, both variants and
 both protocols) and requires identical floats on every path, and the full
-grid's incumbents from the active scan's tb_max column grid.  The complex step
-through the chain equals a real difference of R, and the phase-error bracket
-obeys the parallelogram inequality.  The oracle's event-counted sequences give
+grid's positive incumbents from the active scan, which is pinned at tb_max.
+The complex step through the chain equals a real difference of R, and the
+phase-error bracket obeys the parallelogram inequality.  The oracle's event-counted sequences give
 the counts of its mask-counted ones, on drawn event multisets and on whole
 seeded sequences.  Runs are derandomized, so a failure reproduces.
 """
@@ -32,7 +32,7 @@ from cowqkd.cli import main
 from cowqkd.optimize import _MU_FINITE, _objective_surface
 from cowqkd.params import total_transmittance
 from cowqkd.security import _accepted, _rate_chain
-from conftest import reference_grid, stepwise_point
+from conftest import scan_incumbents, stepwise_point
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -130,11 +130,11 @@ def test_evaluate_point_equals_stepwise_point(link, setting, protocol):
        protocol=st.sampled_from(list(Protocol)))
 def test_active_scan_refines_the_full_grid_incumbent(link, distances, mu_box, tb_box, n_tb,
                                                      refine_iters, mu_fixed, protocol):
-    # The tb_max column grid finds the full grid's incumbent: with
-    # refine_iters=0 the rows are the full grid's, errors included.  The Newton
-    # step then moves mu alone and never loses to the incumbent.  mu_max reaches
-    # 1e6 and mu_fixed 1e4, where exp(mu) overflows: NaN grid cells, and rows
-    # that raise.
+    # The scan pinned at tb_max finds the full grid's positive incumbents: with
+    # refine_iters=0 a row is the full grid's where its rate is positive, and
+    # else the tb_max column's, errors included.  The Newton step then moves mu
+    # alone and never loses to the incumbent.  mu_max reaches 1e6 and mu_fixed
+    # 1e4, where exp(mu) overflows: NaN grid cells, and rows that raise.
     assume(tb_box[0] < tb_box[1])
     base = SystemParams(mu=0.1, t_B=0.5, **dict(link, variant="active"))
     config = ScanConfig(L_values=tuple(distances), mu_min=mu_box[0],
@@ -143,13 +143,13 @@ def test_active_scan_refines_the_full_grid_incumbent(link, distances, mu_box, tb
                         protocol=protocol, mu_fixed=mu_fixed)
     grid = replace(config, refine_iters=0)
 
-    def full_grid_rows():
-        rate, mu, t_b, _, _ = reference_grid(base, config)
+    def grid_rows():
+        _, mu, t_b = scan_incumbents(base, config)
         return [stepwise_point(replace(base, L_km=L, mu=float(m), t_B=float(t)), protocol)
                 for L, m, t in zip(distances, mu, t_b)]
 
     with np.errstate(all="ignore"):
-        expected = _outcome(full_grid_rows)
+        expected = _outcome(grid_rows)
         assert _outcome(lambda: scan(base, grid)) == expected
         refined = _outcome(lambda: scan(base, config))
     if isinstance(expected, tuple) or isinstance(refined, tuple):
@@ -233,8 +233,10 @@ def test_pruned_scan_rows_equal_full_grid_and_one_distance_rows(
         link, atten, distances, mu_box, tb_box, n_tb, n_mu, refine_iters, mu_fixed, protocol):
     # The hypothesis twin of test_optimize.py::test_lockstep_scan_equals_one_distance_scans:
     # a scan that grids only the cells left live by a higher eta gives, at
-    # refine_iters=0, the full grid's rows and, refined, each distance's own scan;
-    # errors included.  mu_max and mu_fixed reach 1000, where the bound has NaN cells.
+    # refine_iters=0, the full grid's positive rows and the searched grid's
+    # zero-rate rows (the tb_max column of an active scan) and, refined, each
+    # distance's own scan; errors included.  mu_max and mu_fixed reach 1000,
+    # where the bound has NaN cells.
     assume(tb_box[0] < tb_box[1])
     base = SystemParams(L_km=0.0, mu=0.1, t_B=0.5, atten_db_per_km=atten, **link)
     config = ScanConfig(L_values=tuple(distances), mu_min=mu_box[0], mu_max=mu_box[1],
@@ -245,7 +247,7 @@ def test_pruned_scan_rows_equal_full_grid_and_one_distance_rows(
         if refine_iters:
             return [row for L in distances
                     for row in scan(base, replace(config, L_values=(L,)))]
-        _, mu, t_b, _, _ = reference_grid(base, config)
+        _, mu, t_b = scan_incumbents(base, config)
         return [stepwise_point(replace(base, L_km=L, mu=float(m), t_B=float(t)), protocol)
                 for L, m, t in zip(distances, mu, t_b)]
 
