@@ -1,17 +1,16 @@
 """Key-rate maximization over (mu, t_B) and distance scans.
 
-Grid, then Newton: each distance's objective is evaluated on a log-spaced mu
-grid times a linear t_B grid, in calls of at most one n_mu x n_tb grid of
+Grid, then Newton: each distance's objective is evaluated on a coarse log-spaced
+mu grid times a linear t_B grid, as many distances per call as fit ``_CELLS``
 cells; then a safeguarded projected Newton step converges the incumbents, in
-lockstep.  The active rate is t_B times a t_B-free bracket, so an active scan
-is the scan pinned at t_B = tb_max.  A scan grids its distances by decreasing
-transmittance, and the COW grid skips the mu rows whose phase-error bound a
-higher transmittance clamped at 1/2 on every t_B, where R is exactly 0.0 at
-every lower one (see ``scan``).  The grid, the Newton calls, the rows and
-``evaluate_point`` all run the one rate chain, ``security._rate_chain``: this
-module only searches.  A row is a converged optimum, independent of the other
-distances of its scan.  Grid ties resolve to the smallest mu, then t_B, and a
-NaN cell or candidate never wins.
+lockstep.  A distance with no positive grid cell first climbs a smooth margin of
+its rate (``security._margin``), positive exactly where the rate is: positivity
+is decided by the maximum, not by the grid.  The active rate is t_B times a
+t_B-free bracket, so an active scan is the scan pinned at t_B = tb_max.  The
+grid, the Newton calls, the rows and ``evaluate_point`` all run the one rate
+chain, ``security._rate_chain``: this module only searches.  A row is a
+converged optimum, independent of the other distances of its scan.  Grid ties
+resolve to the smallest mu, then t_B, and a NaN cell or candidate never wins.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .security import (
     _Chain,
     _RATES,
     _accepted,
+    _margin,
     _rate_chain,
     bit_error_x,  # noqa: F401  unused; perfbench/tracing.py wraps it at this binding
     bit_error_z,
@@ -64,10 +64,10 @@ class ScanConfig:
     L_values: tuple[float, ...]
     mu_min: float = 1e-4
     mu_max: float = 1.0
-    n_mu: int = 60
+    n_mu: int = 15
     tb_min: float = 0.01
     tb_max: float = 0.99
-    n_tb: int = 49
+    n_tb: int = 13
     refine_iters: int = 20
     protocol: Protocol = Protocol.COW
     mu_fixed: float | None = None
@@ -134,13 +134,6 @@ def _raise_rejection(params: SystemParams) -> NoReturn:
     raise AssertionError(f"the chain rejects {params!r}, which every public step accepts")
 
 
-def _objective_surface(base: SystemParams, eta, mu, t_b, protocol: Protocol):
-    """Key rate of the requested protocol from one pass of the rate chain."""
-    cow = protocol is Protocol.COW
-    chain = _rate_chain(base, eta, mu, t_b, cow=cow, nonclassical=not cow)
-    return chain.R if cow else chain.R_tilde
-
-
 def _rate_point(L_km, eta_ch, eta_tot, mu, t_b, q_z, e_z, e_p_u, e_x, r_cow, r_tilde,
                 protocol: Protocol) -> RatePoint:
     objective = r_cow if protocol is Protocol.COW else r_tilde
@@ -196,18 +189,24 @@ def _rows(base: SystemParams, sites: list[SystemParams], eta: np.ndarray, mu: np
 
 # The Newton step (see _newton): the complex step; the spacing of the central
 # difference of complex-step gradients that gives the Hessian; the predicted
-# rise, relative to R, of a step not worth taking (it is then below about
-# 1e-10 in log mu and t_B) and of one that R's rounding may hide.
+# rise, relative to the objective, of a step not worth taking (it is then below
+# about 1e-10 in log mu and t_B) and of one that the objective's rounding may hide.
 _STEP, _DELTA, _RISE_TOL, _NEAR = 1e-30, 1e-6, 1e-22, 1e-12
 
-# The largest mu whose exp(mu) is finite: the Cauchy bound overflows above it.
-_MU_FINITE = math.log(np.finfo(float).max)
+# The most cells one chain call of the search holds: a grid call grids as many
+# distances as fit (at least one), and a Newton call as many distances' complex
+# points (two cells each) as fit.
+_CELLS = 2 ** 13
 
 
-def _derivatives(base: SystemParams, eta, x, dims, protocol: Protocol):
-    """(R, gradient, Hessian) in (log mu, t_B) at each row (mu, t_B) of x, from one chain call.
+def _derivatives(base: SystemParams, eta, x, dims, protocol: Protocol, climb):
+    """(objective, gradient, Hessian) in (log mu, t_B) at each row (mu, t_B) of x.
 
-    The gradient is the complex step Im R(x + ih) / h, exact to working precision
+    One chain call.  The objective is the rate or, for a row of ``climb``, its
+    margin (``security._margin``) where that is not positive and Q_z times it, the
+    rate before its floor at 0, where it is: positive exactly where the rate is,
+    and smooth across the floor, which next to the reach may lie within _DELTA.
+    The gradient is the complex step Im f(x + ih) / h, exact to working precision
     where the chain's clamps are inactive.  Coordinates outside ``dims`` get zeros.
     """
     mu, t_b = x.T
@@ -219,8 +218,13 @@ def _derivatives(base: SystemParams, eta, x, dims, protocol: Protocol):
     in_tb = np.array([[i] for i, _, _ in points])
     mus = np.array([mu * math.exp(s * _DELTA) if j == 0 else mu for _, j, s in points])
     tbs = np.array([t_mid + s * _DELTA if j == 1 else t_b for _, j, s in points])
-    values = _objective_surface(base, eta, mus * (1.0 + 1j * _STEP * (1 - in_tb)),
-                                tbs + 1j * _STEP * in_tb, protocol)
+    cow = protocol is Protocol.COW
+    chain = _rate_chain(base, eta, mus * (1.0 + 1j * _STEP * (1 - in_tb)),
+                        tbs + 1j * _STEP * in_tb, cow=cow, nonclassical=not cow)
+    values = chain.R if cow else chain.R_tilde
+    if climb.any():
+        margin = _margin(chain, base.f_ec, cow)
+        values = np.where(climb, np.where(margin[0].real > 0.0, chain.Q_z * margin, margin), values)
     slope = values.imag / _STEP
     grad, hess = np.zeros((len(x), 2)), np.zeros((len(x), 2, 2))
     grad[:, dims] = slope[:len(dims)].T
@@ -250,41 +254,46 @@ def _ascent(x, grad, hess, movable, lo, hi):
                     g / np.where(scale > 0.0, scale, np.inf)), np.hypot(*g.T)
 
 
-def _newton(base: SystemParams, eta, x, dims: list[int], config: ScanConfig) -> np.ndarray:
-    """Converge each row (mu, t_B) of x, a grid incumbent, in lockstep; returns the optima.
+def _newton(base: SystemParams, eta, x, climb, dims: list[int],
+            config: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Converge each row (mu, t_B) of x in lockstep: (optima, where the objective is positive).
 
     Projected Newton in (log mu, t_B) over ``dims``, in the search box, one chain call per
-    iteration.  A candidate is accepted where R rises or, if its step's gradient-predicted
-    rise is below _NEAR * R (R's rounding may hide it), where the gradient norm falls; never
-    where it is NaN.  A rejected step is halved.  A distance stops once its next step's
-    predicted rise is at most _RISE_TOL * R, once a step below _NEAR * R is rejected, or
-    after ``config.refine_iters`` steps.
+    iteration, on the objective f of :func:`_derivatives`: the rate, or for a row of
+    ``climb`` (no positive grid cell) its margin until that turns positive.  A candidate
+    is accepted where f rises or, if its step's gradient-predicted rise is below _NEAR f
+    (f's rounding may hide it), where the gradient norm falls; never where it is NaN.  A
+    rejected step is halved.  A distance stops once its next step's predicted rise is at
+    most _RISE_TOL f, or below -f (a negative margin that the step does not lift to 0,
+    which also covers the tolerances where f < 0), once a step below _NEAR f is rejected,
+    or after ``config.refine_iters`` steps.
     """
     movable = np.isin([0, 1], dims)
     lo = np.where(movable, [config.mu_min, config.tb_min], -np.inf)
     hi = np.where(movable, [config.mu_max, config.tb_max], np.inf)
     n = len(x)
     best, todo, x, y = x.copy(), np.arange(n), x.copy(), x.copy()  # accepted x, candidate y
+    found = np.full(n, -np.inf)  # the objective at best
     r_x, norm_x, rise = np.full(n, -np.inf), np.full(n, np.inf), np.full(n, np.inf)
     grad, step, alpha = np.zeros((n, 2)), np.zeros((n, 2)), np.ones(n)
     for _ in range(config.refine_iters + 1):
-        r, g, h = _derivatives(base, eta[todo], y, dims, config.protocol)
+        r, g, h = _derivatives(base, eta[todo], y, dims, config.protocol, climb)
         ascent, norm = _ascent(y, g, h, movable, lo, hi)
         near = rise <= _NEAR * r_x
         ok = np.isfinite(r) & np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
         ok &= (r > r_x) | (near & (norm < norm_x))
         x[ok], r_x[ok], norm_x[ok], grad[ok], step[ok] = y[ok], r[ok], norm[ok], g[ok], ascent[ok]
         alpha = np.where(ok, 1.0, alpha / 2.0)
-        best[todo] = x
+        best[todo], found[todo] = x, r_x
         y = np.clip(np.stack([x[:, 0] * np.exp(alpha * step[:, 0]),  # the step is in log mu
                               x[:, 1] + alpha * step[:, 1]], axis=1), lo, hi)
         rise = grad[:, 0] * np.log(y[:, 0] / x[:, 0]) + grad[:, 1] * (y[:, 1] - x[:, 1])
-        go = (ok | ~near) & (rise > _RISE_TOL * r_x)  # also False for NaN
+        go = (ok | ~near) & (rise > _RISE_TOL * r_x) & (r_x + rise >= 0.0)  # False for NaN
         if not go.any():
             break
-        todo, x, y, r_x, norm_x, rise, grad, step, alpha = (
-            v[go] for v in (todo, x, y, r_x, norm_x, rise, grad, step, alpha))
-    return best
+        todo, x, y, r_x, norm_x, rise, grad, step, alpha, climb = (
+            v[go] for v in (todo, x, y, r_x, norm_x, rise, grad, step, alpha, climb))
+    return best, found > 0.0
 
 
 def optimize_point(base_params: SystemParams, config: ScanConfig) -> RatePoint:
@@ -298,78 +307,50 @@ def optimize_point(base_params: SystemParams, config: ScanConfig) -> RatePoint:
 def scan(base_params: SystemParams, config: ScanConfig) -> list[RatePoint]:
     """Maximize the configured key rate over (mu, t_B) at every distance, in input order.
 
-    Each distance's grid incumbent is converged by :func:`_newton` where its
-    rate is positive, in at most ``refine_iters`` steps (0 keeps the
-    incumbents).  A grid call holds at most one ``n_mu x n_tb`` grid of cells,
-    so it grids ``n_mu n_tb // (len(mu_grid) len(tb_grid))`` distances (at least
-    one), and a Newton block takes no more bytes.  The rows, from one array pass
-    (:func:`_rows`), equal :func:`evaluate_point` at each optimum, errors
-    included.  Zero-rate rows are flagged, never fatal.
-
-    The grid visits the distances by decreasing eta, and the COW grid evaluates
-    only the mu rows that hold a live cell; the others read 0.0, as the full
-    grid does.  A cell dies where its phase-error bound is clamped at 1/2 at the
-    last distance of a block.  Why it stays clamped: the mixed logic gains of both
-    ports equal q = Q_0z_M0, so E_p_u = N+ U / (8 q) + max(0, 1/2 - N+ L / (8 q))
-    for U the Cauchy upper bound on Q_0x_M1 and L the lower bound on Q_0x_M0,
-    and it is clamped where U >= min(L, 4 q / N+).  U keeps an eta-free term,
-    N-^2 e^mu / (4 N+), and the dark counts' share, while L and q are gains of
-    the light that arrives: U / min(L, 4 q / N+) does not fall as eta falls (no
-    fall in 7e7 measured cell steps over random links; the property test
-    ``test_cow_rate_falls_with_eta_and_a_clamped_bound_stays_clamped`` draws
-    links and cells).  Clamped, h(E_p_u) = h(1/2) is exactly 1, so R =
-    max(0, -f Q_z h(E_b)) is exactly 0.0 wherever Q_z and E_b are finite at
-    every lower eta: where p_d > 0 keeps every gain positive and exp(mu) is
-    finite.  Other cells never die.  R == 0.0 itself is no such test: near
-    E_p_u = 1/2, h rounds to 1 or to 1 - 2^-53, and R returns from 0.0 to about
-    1e-16 Q_z at a lower eta.  Nor is E_b, which falls with eta where the data
-    detectors saturate.  The nonclassical R_tilde returns from 0.0 over a range
-    of eta (E_x tends to 1/2 at p_d = e_a = 0), so its grid keeps every cell.
+    A grid call grids as many distances as fit ``_CELLS`` cells (at least one).
+    From each distance's grid incumbent, or, where no grid cell is positive, from
+    its best margin cell, :func:`_newton` converges the optimum in at most
+    ``refine_iters`` steps, in blocks of at most ``_CELLS`` cells; a distance whose
+    margin stays at most 0 keeps its grid incumbent, and ``refine_iters=0`` keeps
+    every incumbent.  The rows, from one array pass (:func:`_rows`), equal
+    :func:`evaluate_point` at each optimum, errors included.  Zero-rate rows are
+    flagged, never fatal.
     """
     if base_params.variant is Variant.ACTIVE and config.tb_fixed is None:
         # The active rate is t_B times a t_B-free bracket, so it rises with t_B
         # wherever it is positive: its optimum is on the box edge t_B = tb_max.
         config = replace(config, tb_fixed=config.tb_max)
     protocol = config.protocol
-    mu_grid = config.mu_grid()
-    tb_grid = config.tb_grid()
+    cow = protocol is Protocol.COW
     sites = [replace(base_params, L_km=float(L)) for L in config.L_values]
     eta = np.array([total_transmittance(site) for site in sites])
+    cells = np.stack(np.meshgrid(config.mu_grid(), config.tb_grid(), indexing="ij"),
+                     axis=-1).reshape(-1, 2)
 
     n = len(sites)
-    best_rate, i_mu, i_tb = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=int)
-    # no call grids more cells than one n_mu x n_tb grid
-    per_call = max(1, config.n_mu * config.n_tb // (len(mu_grid) * len(tb_grid)))
-    order = np.argsort(-eta, kind="stable")  # decreasing transmittance
-    cow = protocol is Protocol.COW
-    rows = np.arange(len(mu_grid))  # the mu rows with a live cell
-    # A clamped cell dies only where the chain stays finite at every lower eta:
-    # dark counts keep every gain positive, and exp(mu) does not overflow.
-    mortal = (mu_grid <= _MU_FINITE) & (base_params.p_d > 0.0)
-    for start in range(0, n, per_call):
-        block = order[start:start + per_call]
-        surface = np.zeros((len(block), len(mu_grid), len(tb_grid)))
-        if rows.size:
-            chain = _rate_chain(base_params, eta[block, None, None], mu_grid[rows, None],
-                                tb_grid, cow=cow, nonclassical=not cow)
-            # A NaN cell (overflow at huge mu) never wins.
-            surface[:, rows] = np.fmax(chain.R if cow else chain.R_tilde, -np.inf)
-            if cow:
-                rows = rows[~(mortal[rows] & (chain.E_p_u_raw[-1] >= 0.5).all(axis=1))]
-        surface = surface.reshape(len(block), -1)
-        # in C order, ties resolve to the smallest mu, then the smallest t_B
-        flat_best = np.argmax(surface, axis=1)
-        i_mu[block], i_tb[block] = np.unravel_index(flat_best, (len(mu_grid), len(tb_grid)))
-        best_rate[block] = surface[np.arange(len(block)), flat_best]
-    best = np.stack([mu_grid[i_mu], tb_grid[i_tb]], axis=1)
+    best, start, best_rate = np.empty((n, 2)), np.empty((n, 2)), np.empty(n)
+    per_call = max(1, _CELLS // len(cells))
+    for first in range(0, n, per_call):
+        block = slice(first, first + per_call)
+        chain = _rate_chain(base_params, eta[block, None], *cells.T, cow=cow, nonclassical=not cow)
+        # A NaN cell (overflow at huge mu) never wins, and in C order ties resolve
+        # to the smallest mu, then the smallest t_B.
+        rate = np.fmax(chain.R if cow else chain.R_tilde, -np.inf)
+        best[block], best_rate[block] = cells[np.argmax(rate, axis=1)], rate.max(axis=1)
+        start[block] = best[block]
+        zero = np.flatnonzero(best_rate[block] <= 0.0)
+        if zero.size:
+            margin = np.fmax(_margin(chain, base_params.f_ec, cow)[zero], -np.inf)
+            start[block][zero] = cells[np.argmax(margin, axis=1)]
 
-    live = np.flatnonzero(best_rate > 0.0)
     dims = [i for i, free in enumerate((config.mu_fixed is None, config.tb_fixed is None)) if free]
     if dims and config.refine_iters:
-        # A Newton call holds d (d + 2) complex points per distance (16 B each),
-        # for d free coordinates: no more bytes than one real grid.
-        per_block = max(1, config.n_mu * config.n_tb // (2 * len(dims) * (len(dims) + 2)))
-        for start in range(0, live.size, per_block):
-            block = live[start:start + per_block]
-            best[block] = _newton(base_params, eta[block], best[block], dims, config)
+        # A Newton call holds d (d + 2) complex points per distance, for d free
+        # coordinates.
+        per_block = max(1, _CELLS // (2 * len(dims) * (len(dims) + 2)))
+        for first in range(0, n, per_block):
+            block = slice(first, first + per_block)
+            found, positive = _newton(base_params, eta[block], start[block],
+                                      best_rate[block] <= 0.0, dims, config)
+            best[block] = np.where(positive[:, None], found, best[block])
     return _rows(base_params, sites, eta, *best.T, protocol)

@@ -211,6 +211,22 @@ def _rate_chain(base: SystemParams, eta, mu, t_b, cow=True, nonclassical=True) -
     return _Chain(unmixed=unmixed, **record)
 
 
+def _margin(chain: _Chain, f_ec, cow=True):
+    """A smooth margin of the rate: positive where it is, unless Q_z times it underflows.
+
+    COW: 1 - h^(E_p_u_raw) - f h(E_b), with h^ = h up to 1/2 and 1 + (2 / ln 2)(x - 1/2)^2
+    above (C1, increasing, complex-step safe): it keeps falling where the bound is
+    clamped and R is flat at 0.  Nonclassical: R_tilde's bracket before its floor.  In
+    ``_key_rate_kernel``'s operand order, so it is the bracket where the bound is not clamped.
+    """
+    if not cow:
+        return 1.0 - _entropy_kernel(chain.E_x) - f_ec * _entropy_kernel(chain.E_b)
+    raw = chain.E_p_u_raw
+    h_phase = np.where(np.real(raw) > 0.5, 1.0 + 2.0 / math.log(2.0) * (raw - 0.5) ** 2,
+                       _entropy_kernel(chain.E_p_u))
+    return 1.0 - h_phase - f_ec * _entropy_kernel(chain.E_b)
+
+
 def _accepted(chain: _Chain):
     """Where a chain of both branches passes every check of the public steps.
 

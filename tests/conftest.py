@@ -20,7 +20,8 @@ from cowqkd import (
     total_transmittance,
 )
 from cowqkd.params import Variant
-from cowqkd.optimize import FLAG_NO_POSITIVE_RATE, _objective_surface
+from cowqkd.optimize import FLAG_NO_POSITIVE_RATE
+from cowqkd.security import _rate_chain
 
 # points_reference.txt comes in two sets, because numpy's AVX-512 exp, expm1
 # and log round differently from the C library on a few percent of inputs, and
@@ -84,6 +85,13 @@ def stepwise_point(params: SystemParams, protocol: Protocol = Protocol.COW) -> R
                      flag="" if objective > 0.0 else FLAG_NO_POSITIVE_RATE)
 
 
+def objective_surface(base, eta, mu, t_b, protocol):
+    """The key rate that a scan of protocol maximizes, from one pass of the rate chain."""
+    cow = protocol is Protocol.COW
+    chain = _rate_chain(base, eta, mu, t_b, cow=cow, nonclassical=not cow)
+    return chain.R if cow else chain.R_tilde
+
+
 def reference_grid(base, config):
     """(rate, mu, t_B, i_mu, i_tb) arrays of each distance's full-grid incumbent.
 
@@ -94,7 +102,7 @@ def reference_grid(base, config):
     cells = []
     for L in config.L_values:
         site = replace(base, L_km=float(L))
-        surface = _objective_surface(site, total_transmittance(site), mu_mesh, tb_mesh,
+        surface = objective_surface(site, total_transmittance(site), mu_mesh, tb_mesh,
                                      config.protocol)
         surface = np.fmax(surface, -np.inf).ravel()
         best = int(np.argmax(surface))

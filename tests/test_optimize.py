@@ -11,11 +11,12 @@ import pytest
 import cowqkd.optimize as optimize
 from cowqkd import (NoMonitoringDetectionError, ParameterError, Protocol, ScanConfig,
                     evaluate_point, optimize_point, scan)
-from cowqkd.optimize import FLAG_NO_POSITIVE_RATE, _objective_surface
+from cowqkd.cli import main
+from cowqkd.optimize import FLAG_NO_POSITIVE_RATE
 from cowqkd.params import Variant, total_transmittance
 from cowqkd.security import _rate_chain
-from conftest import (make_params, reference_grid, scan_incumbents, searched_config,
-                      stepwise_point)
+from conftest import (make_params, objective_surface, reference_grid, scan_incumbents,
+                      searched_config, stepwise_point)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,17 +32,17 @@ def test_optimized_rate_dominates_every_grid_point():
     config = reference_config()
     point = optimize_point(base, config)
     mu_mesh, tb_mesh = np.meshgrid(config.mu_grid(), config.tb_grid(), indexing="ij")
-    surface = _objective_surface(base, total_transmittance(base), mu_mesh, tb_mesh,
+    surface = objective_surface(base, total_transmittance(base), mu_mesh, tb_mesh,
                                  config.protocol)
     assert point.R >= float(surface.max())
 
 
 def test_vector_and_scalar_paths_agree_exactly():
     base = make_params()
-    config = reference_config()
+    config = reference_config(n_mu=60, n_tb=49)
     mu_grid, tb_grid = config.mu_grid(), config.tb_grid()
     mu_mesh, tb_mesh = np.meshgrid(mu_grid, tb_grid, indexing="ij")
-    surface = _objective_surface(base, total_transmittance(base), mu_mesh, tb_mesh,
+    surface = objective_surface(base, total_transmittance(base), mu_mesh, tb_mesh,
                                  config.protocol)
     for i, j in ((0, 0), (30, 20), (45, 48), (59, 10)):
         point = stepwise_point(replace(base, mu=float(mu_grid[i]), t_B=float(tb_grid[j])))
@@ -58,8 +59,8 @@ def test_vector_and_scalar_paths_agree_exactly():
             mu = np.exp(rng.uniform(math.log(1e-4), math.log(0.03), 2000))
             t_b = rng.uniform(0.01, 0.99, 2000)
             eta = total_transmittance(site)
-            r = _objective_surface(site, eta, mu, t_b, Protocol.COW)
-            r_tilde = _objective_surface(site, eta, mu, t_b, Protocol.NONCLASSICAL)
+            r = objective_surface(site, eta, mu, t_b, Protocol.COW)
+            r_tilde = objective_surface(site, eta, mu, t_b, Protocol.NONCLASSICAL)
             for k in range(mu.size):
                 point = stepwise_point(replace(site, mu=float(mu[k]), t_B=float(t_b[k])))
                 if (point.R, point.R_tilde) != (r[k], r_tilde[k]):
@@ -91,6 +92,42 @@ def test_no_positive_rate_flagged_far_beyond_cutoff():
     assert point.flag == FLAG_NO_POSITIVE_RATE
     assert point.mu_opt == pytest.approx(1e-4)
     assert point.tB_opt == pytest.approx(0.01)
+
+
+# Next to the reach the positive region of (mu, t_B) is narrower than the grid's
+# spacing, and a scan that took positivity from its grid cells flagged these two
+# rows no_positive_rate.  The margin climb finds both optima.
+
+def test_criterion_3_passive_row_next_to_the_reach_is_positive():
+    base = make_params(p_d=1e-7, eta_d=0.99, e_a=0.01)
+    [row] = scan(base, reference_config(L_values=(76.86,)))
+    assert row.flag == "" and row.R == pytest.approx(9.0136e-10, rel=1e-4)
+    assert (row.mu_opt, row.tB_opt) == (pytest.approx(8.385e-4, rel=1e-3),
+                                        pytest.approx(0.2765, rel=1e-3))
+    assert row == stepwise_point(replace(base, L_km=76.86, mu=row.mu_opt, t_B=row.tB_opt))
+
+
+def test_default_cli_row_next_to_the_reach_is_positive(capsys):
+    assert main(["scan", "--L", "103.68"]) == 0
+    header, line = capsys.readouterr().out.splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["flag"] == "" and float(row["R"]) == pytest.approx(1.527e-11, rel=1e-3)
+
+
+def test_row_next_to_the_reach_converges_across_the_floor():
+    # Here R > 0 on a t_B interval about 2e-6 wide, within the Hessian's central
+    # difference (1e-6 each way), so a climb that went on with the floored R
+    # stopped at dR/dt_B ~ 4e-7 Q_z.  On Q_z times the margin, the rate before
+    # its floor, the row is stationary and matches a 120 x 97-seeded scan.
+    base = make_params(L_km=68.45416946162004, p_d=7.078051255009139e-09,
+                       eta_d=0.5377944321074735, e_a=0.03914040705924086,
+                       f_ec=1.2666630876023761)
+    config = reference_config(L_values=(base.L_km,))
+    [row] = scan(base, config)
+    [dense] = scan(base, replace(config, n_mu=120, n_tb=97))
+    assert row.flag == "" and abs(row.R - dense.R) <= 1e-15 * row.Q_z
+    grad = _gradient(base, np.array([row.mu_opt]), np.array([row.tB_opt]), Protocol.COW)
+    assert max(abs(float(g[0])) for g in grad) <= 1e-12 * row.Q_z, grad
 
 
 def test_zero_length_error_free_point():
@@ -147,7 +184,7 @@ def test_nan_grid_cells_never_win_the_incumbent():
     # above mu ~ 750, exp(mu) overflows and the bound gives NaN on part of the grid
     base = make_params()
     config = reference_config(mu_max=1000.0)
-    assert np.isnan(_objective_surface(
+    assert np.isnan(objective_surface(
         base, total_transmittance(base), config.mu_grid()[:, None], config.tb_grid()[None, :],
         config.protocol)).any()
     [point] = scan(base, config)
@@ -261,13 +298,13 @@ def reference_rates(base, config, rounds):
     for done in range(1, max(rounds) + 1):
         if passive or done == 1:
             log_mu, new = _golden_section(
-                lambda x: _objective_surface(base, eta, np.exp(x), t_b, config.protocol),
+                lambda x: objective_surface(base, eta, np.exp(x), t_b, config.protocol),
                 log_mu_lo, log_mu_hi)
             better = new > rate
             rate, mu = np.where(better, new, rate), np.where(better, np.exp(log_mu), mu)
         if passive:
             new_tb, new = _golden_section(
-                lambda x: _objective_surface(base, eta, mu, x, config.protocol), tb_lo, tb_hi)
+                lambda x: objective_surface(base, eta, mu, x, config.protocol), tb_lo, tb_hi)
             better = new > rate
             rate, t_b = np.where(better, new, rate), np.where(better, new_tb, t_b)
         if done in rounds:
@@ -307,8 +344,8 @@ def _gradient(site, mu, t_b, protocol):
     """Complex-step (dR/dlog mu, dR/dt_B) at (mu, t_B) arrays."""
     h = 1e-30
     eta = total_transmittance(site)
-    return (_objective_surface(site, eta, mu * complex(1.0, h), t_b, protocol).imag / h,
-            _objective_surface(site, eta, mu, t_b + complex(0.0, h), protocol).imag / h)
+    return (objective_surface(site, eta, mu * complex(1.0, h), t_b, protocol).imag / h,
+            objective_surface(site, eta, mu, t_b + complex(0.0, h), protocol).imag / h)
 
 
 def _hessian(site, mu, t_b, protocol, delta=1e-5):
@@ -357,16 +394,18 @@ def test_scan_rows_are_converged_optima():
 
 
 def test_scan_rows_reach_the_golden_section_references():
-    # Every row's objective is at least the golden-section search's at
-    # refine_iters=30 (converged to rounding), and at refine_iters=3 (the
-    # search this step replaced), less 1e-12 Q_z.  R is Q_z times a bracket that
-    # is a difference of entropies; near the reach R << Q_z, and R's rounding is
-    # up to about 2e-13 Q_z there, which the golden-section searches maximize over.
+    # Every row's objective is at least the golden-section search's from a
+    # 60 x 49 grid at refine_iters=30 (converged to rounding), and at
+    # refine_iters=3 (the search the Newton step replaced), less 1e-12 Q_z.  R is
+    # Q_z times a bracket that is a difference of entropies; near the reach
+    # R << Q_z, and R's rounding is up to about 2e-13 Q_z there, which the
+    # golden-section searches maximize over.
     for base, config in reference_links():
         rows = scan(base, config)
         rates = np.array([p.R if config.protocol is Protocol.COW else p.R_tilde for p in rows])
         q_z = np.array([p.Q_z for p in rows])
-        for refine_iters, reference in reference_rates(base, config, (3, 30)).items():
+        references = reference_rates(base, replace(config, n_mu=60, n_tb=49), (3, 30))
+        for refine_iters, reference in references.items():
             shortfall = (reference - rates) / q_z
             assert shortfall.max() <= 1e-12, (base, config.protocol, refine_iters,
                                               config.L_values[int(np.argmax(shortfall))])
@@ -446,30 +485,16 @@ def test_scan_memory_is_per_distance():
 
 
 
-def _pruned_grid_calls(base, config):
-    """(distances, cells) of each grid call of a scan, from full-grid chains.
+def _grid_calls(base, config):
+    """(distances, cells) of each grid call of a scan, in input order.
 
-    Distances are visited by decreasing eta, in blocks of as many distances as
-    fit one n_mu x n_tb grid of the searched grid's cells.  A block grids the
-    mu rows that hold a cell live after the previous block; a COW cell dies
-    where its phase-error bound is clamped at 1/2 (p_d > 0 and mu below 700 on
-    every case here), and a block with no live cell makes no call.
+    A call grids as many distances as fit optimize._CELLS cells of the
+    searched grid (``searched_config``), at least one.
     """
-    mu_grid, tb_grid = config.mu_grid(), config.tb_grid()
-    per_call = max(1, config.n_mu * config.n_tb // (len(mu_grid) * len(tb_grid)))
-    eta = [total_transmittance(replace(base, L_km=L)) for L in config.L_values]
-    order = sorted(range(len(eta)), key=lambda k: -eta[k])
-    live = np.ones((len(mu_grid), len(tb_grid)), dtype=bool)
-    calls = []
-    for start in range(0, len(order), per_call):
-        block = order[start:start + per_call]
-        if live.any():
-            calls.append((len(block), int(live.any(axis=1).sum()) * len(tb_grid)))
-        if config.protocol is Protocol.COW:
-            chain = _rate_chain(base, eta[block[-1]], mu_grid[:, None], tb_grid[None, :],
-                                nonclassical=False)
-            live &= ~(chain.E_p_u_raw >= 0.5)
-    return calls
+    config = searched_config(base, config)
+    cells = len(config.mu_grid()) * len(config.tb_grid())
+    per_call, n = max(1, optimize._CELLS // cells), len(config.L_values)
+    return [(min(per_call, n - start), cells) for start in range(0, n, per_call)]
 
 
 def test_scan_objective_call_budget(monkeypatch):
@@ -483,9 +508,10 @@ def test_scan_objective_call_budget(monkeypatch):
     monkeypatch.setattr(optimize, "_rate_chain", counted)
     distances = tuple(float(L) for L in range(0, 151, 5))
     # (variant, overrides, free coordinates of the Newton step): the active step moves
-    # mu alone
+    # mu alone.  A 60 x 49 grid takes two distances per call.
     cases = [("passive", {}, 2), ("active", {}, 1), ("active", {"n_tb": 5}, 1),
-             ("passive", {"n_mu": 7, "n_tb": 3}, 2),
+             ("passive", {"n_mu": 7, "n_tb": 3}, 2), ("passive", {"n_mu": 60, "n_tb": 49}, 2),
+             ("active", {"n_mu": 60, "n_tb": 49}, 1),
              ("passive", {"mu_fixed": 0.004, "refine_iters": 5}, 1),
              ("active", {"mu_fixed": 0.004, "refine_iters": 5}, 0)]
     for variant in ("passive", "active"):
@@ -494,34 +520,31 @@ def test_scan_objective_call_budget(monkeypatch):
         for protocol in Protocol:
             config = reference_config(L_values=distances, protocol=protocol, **overrides)
             base = make_params(variant=variant)
-            expected = _pruned_grid_calls(base, searched_config(base, config))
+            expected = _grid_calls(base, config)
             calls.clear()
-            rows = scan(base, config)
+            scan(base, config)
             # the grid's calls, then the Newton step's (complex), then the rows' one
             # array pass over every distance
             grid = [(len(v), v[0].size) for v in calls if not np.iscomplexobj(v)][:-1]
             assert grid == expected, (variant, overrides, protocol)
+            cells = expected[0][1]
+            assert len(grid) == math.ceil(len(distances) / max(1, optimize._CELLS // cells))
             assert calls[-1].shape == (len(distances),)
-            if protocol is Protocol.NONCLASSICAL:  # every distance, on the first call's cells
-                assert sum(d for d, _ in grid) == len(distances)
-                assert {cells for _, cells in grid} == {grid[0][1]}
-            # no call holds more bytes than one n_mu x n_tb grid of floats: a Newton
-            # call holds free + free (free + 1) complex points per distance
-            assert max(v.nbytes for v in calls[:-1]) <= 8 * config.n_mu * config.n_tb, (
-                variant, overrides)
-            per_block = config.n_mu * config.n_tb // (2 * (free + free * (free + 1))) if free else 0
-            live = sum(row.flag == "" for row in rows)
-            blocks = math.ceil(live / per_block) if free else 0
-            # each block's Newton step makes one call per iteration, and converges in
-            # at most eight on these links
+            # no grid or Newton call holds more than the budget's cells; a complex
+            # point holds two
+            assert max(v.nbytes // 8 for v in calls[:-1]) <= optimize._CELLS, (variant, overrides)
+            # every distance runs the Newton step, a distance without a positive grid
+            # cell on its margin, in blocks of _CELLS // (2 free (free + 2)) distances,
+            # and each block makes at most refine_iters + 1 calls
             newton_calls = sum(np.iscomplexobj(v) for v in calls)
+            per_block = optimize._CELLS // (2 * free * (free + 2)) if free else 0
+            blocks = math.ceil(len(distances) / per_block) if free else 0
             assert newton_calls <= (config.refine_iters + 1) * blocks, (variant, overrides)
-            assert newton_calls <= 8 * blocks, (variant, overrides, newton_calls)
-    # the passive COW scan grids half of its cells, and no distance past 135 km
-    config = reference_config(L_values=distances)
-    grid = _pruned_grid_calls(make_params(), config)
-    assert len(grid) < len(distances)
-    assert sum(cells for _, cells in grid) < 0.55 * len(distances) * 60 * 49
+            # on these links, every block converges within nine calls (six from a
+            # 15 x 13 grid, nine from a 7 x 3 one)
+            assert newton_calls <= 9 * blocks, (variant, overrides, newton_calls)
+    # the default passive COW scan grids every distance in one call
+    assert _grid_calls(make_params(), reference_config(L_values=distances)) == [(31, 15 * 13)]
 
 
 def _first_return_from_zero(base, mu, t_b, objective, distances):
@@ -536,7 +559,7 @@ def _first_return_from_zero(base, mu, t_b, objective, distances):
 
 
 def _second_row_is_its_own(base, config):
-    """The last row of a scan whose first two distances fill the first active block."""
+    """The last row of a scan, which must equal its one-distance scan."""
     rows = scan(base, config)
     [alone] = scan(base, replace(config, L_values=config.L_values[-1:]))
     assert rows[-1] == alone
@@ -546,9 +569,8 @@ def _second_row_is_its_own(base, config):
 def test_cow_rate_returns_from_zero_near_the_clamp():
     # Just short of the COW reach at p_d ~ 0 and e_a = 0, E_p_u is within 1e-8 of 1/2
     # and h(E_p_u) rounds to 1 or to 1 - 2^-53, so R at one cell returns from 0.0 to
-    # about 1e-16 Q_z at a longer distance.  The pruned grid therefore does not drop
-    # a cell where R is 0.0: only a clamped bound (E_p_u_raw >= 1/2, where h is
-    # exactly 1 and R exactly 0) drops it.
+    # about 1e-16 Q_z at a longer distance.  A zero cell at one distance says
+    # nothing about the next: the longer distance's row is its own.
     base = make_params(p_d=1e-30, eta_d=1.0, e_a=0.0, variant="active")
     mu, t_b = 1e-4, 0.99
 
@@ -570,8 +592,7 @@ def test_cow_rate_returns_from_zero_near_the_clamp():
 def test_nonclassical_rate_returns_from_zero_so_its_grid_keeps_every_cell():
     # At p_d = e_a = 0 and mu = 50, E_x tends to 1/2 as eta falls, and h(E_x) rounds
     # to 1 or to 1 - 2^-53: R_tilde at one cell is 0.0 at one distance and about
-    # 1e-16 Q_z at a longer one, over a range of eta, not at one rounding step.  No
-    # nonclassical cell is ever dropped.
+    # 1e-16 Q_z at a longer one, over a range of eta, not at one rounding step.
     base = make_params(p_d=0.0, eta_d=1.0, e_a=0.0, variant="active")
     mu, t_b = 50.0, 0.99
     L1, L2, chain = _first_return_from_zero(base, mu, t_b, "R_tilde", np.arange(8.0, 40.0, 0.5))
@@ -617,15 +638,16 @@ def test_scan_raises_what_a_per_row_evaluate_point_loop_raises():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cells_whose_rate_can_turn_nan_never_die():
-    # A clamped bound makes R exactly 0.0 only where the chain is finite at the
-    # longer distance.  At mu = 900, exp(mu) overflows, and cells clamped at 4 km
-    # are NaN at 8 km.  At p_d = 0 and 16050 km, eta is subnormal: the gains of
-    # the small-mu cells underflow to 0, and their R is NaN, while larger-mu cells
-    # still click; at 300 km every bound is clamped.  Dropping those cells would
-    # make the longer distance's row start at the first cell.
+    # Cells whose bound is clamped at the shorter distance turn NaN at the longer
+    # one, and a batched scan still reports the full grid's rows.  At mu = 900,
+    # exp(mu) overflows, and cells clamped at 4 km are NaN at 8 km (on a 49-cell
+    # t_B grid).  At p_d = 0 and 16050 km, eta is subnormal: the gains of the
+    # small-mu cells underflow to 0, and their R is NaN, while larger-mu cells
+    # still click; at 300 km every bound is clamped.  A scan that dropped the
+    # clamped cells would make the longer distance's row start at the first cell.
     base = make_params(p_d=8.344237397853495e-08, eta_d=1.0, e_a=0.37500205129617176,
                        f_ec=1.4951999085990377)
-    config = reference_config(L_values=(4.0, 8.0), mu_fixed=900.0, refine_iters=0)
+    config = reference_config(L_values=(4.0, 8.0), mu_fixed=900.0, n_tb=49, refine_iters=0)
     eta = np.array([[total_transmittance(replace(base, L_km=L))] for L in config.L_values])
     chain = _rate_chain(base, eta, 900.0, config.tb_grid())
     assert ((chain.E_p_u_raw[0] >= 0.5) & np.isnan(chain.R[1])).any()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cowqkd import (
@@ -19,6 +20,7 @@ from cowqkd import (
     plob_bound,
 )
 from cowqkd.gains import GainSet
+from cowqkd.security import _Chain, _margin
 from conftest import make_params
 
 
@@ -374,3 +376,29 @@ def test_azuma_input_validation():
         azuma_deviation(1e6, 0.0)
     with pytest.raises(ValueError):
         azuma_deviation(1e6, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the search's margin
+# ---------------------------------------------------------------------------
+
+def test_cow_margin_continues_the_entropy_past_one_half():
+    # h^ is h up to 1/2 and 1 + (2 / ln 2)(x - 1/2)^2 above it, so the margin
+    # 1 - h^(E_p_u_raw) - f h(E_b) falls strictly in E_p_u_raw on both sides of
+    # the clamp, and its complex-step slope is continuous at 1/2.
+    raw = np.array([0.1, 0.3, 0.5 - 1e-6, 0.5, 0.5 + 1e-6, 0.7, 3.0])
+    e_b, f_ec = 0.01, 1.1
+
+    def margin(x):
+        return _margin(_Chain(E_p_u_raw=x, E_p_u=np.clip(x, 0.0, 0.5),
+                              E_b=np.full(x.shape, e_b)), f_ec)
+    h_hat = [binary_entropy(x) if x <= 0.5 else 1.0 + 2.0 / math.log(2.0) * (x - 0.5) ** 2
+             for x in raw]
+    values = margin(raw)
+    assert values == pytest.approx(1.0 - np.array(h_hat) - f_ec * binary_entropy(e_b),
+                                   rel=1e-13, abs=1e-15)
+    assert (np.diff(values) < 0.0).all()
+    slope = margin(raw + 1e-30j).imag / 1e-30
+    assert slope[3] == 0.0 and (np.delete(slope, 3) < 0.0).all()
+    assert slope[2] == pytest.approx(slope[4], rel=1e-5)
+    assert slope[2] == pytest.approx(-4e-6 / math.log(2.0), rel=1e-5)
