@@ -207,14 +207,13 @@ def _scan_config(cfg: argparse.Namespace) -> ScanConfig:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt9(value: float) -> str:
-    return format(float(value), ".9g")
+_CSV_ROW = ",".join(["%.9g"] * 11) + ",%s"
 
 
 def format_rate_point_csv(point) -> str:
-    values = (point.L_km, point.eta_ch, point.eta_tot, point.mu_opt, point.tB_opt,
-              point.Q_z, point.E_b, point.E_p_u, point.R, point.R_tilde, point.R_plob)
-    return ",".join(_fmt9(v) for v in values) + f",{point.flag}"
+    return _CSV_ROW % (point.L_km, point.eta_ch, point.eta_tot, point.mu_opt, point.tB_opt,
+                       point.Q_z, point.E_b, point.E_p_u, point.R, point.R_tilde, point.R_plob,
+                       point.flag)
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:

@@ -79,7 +79,12 @@ class SystemParams:
 
 def channel_transmittance(params: SystemParams) -> float:
     """Fiber transmittance 10^(-atten * L / 10)."""
-    return 10.0 ** (-params.atten_db_per_km * params.L_km / 10.0)
+    return _fiber_transmittance(params.L_km, params.atten_db_per_km)
+
+
+def _fiber_transmittance(L_km: float, atten_db_per_km: float) -> float:
+    """channel_transmittance on validated floats, for a scan's distances."""
+    return 10.0 ** (-atten_db_per_km * L_km / 10.0)
 
 
 def total_transmittance(params: SystemParams) -> float:

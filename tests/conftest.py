@@ -19,6 +19,7 @@ from cowqkd import (
     plob_bound,
     total_transmittance,
 )
+import cowqkd.optimize as optimize
 from cowqkd.params import Variant
 from cowqkd.optimize import FLAG_NO_POSITIVE_RATE
 from cowqkd.security import _rate_chain
@@ -133,3 +134,25 @@ def scan_incumbents(base, config):
     searched = reference_grid(base, searched_config(base, config))[:3]
     positive = full[0] > 0.0
     return tuple(np.where(positive, f, s) for f, s in zip(full, searched))
+
+
+def newton_candidate(base, config, L_km, mu, t_b):
+    """(mu, t_B, predicted rise) of the next projected Newton step that a scan of
+    config would take from (mu, t_B) at L_km.
+
+    The step of ``optimize._newton`` at full length, on the rate before its floor
+    (Q_z times the margin where that is positive, which is the rate where the
+    rate is positive), in the box and over the coordinates that the scan searches.
+    """
+    config = searched_config(base, config)
+    dims = [i for i, free in enumerate((config.mu_fixed is None, config.tb_fixed is None)) if free]
+    movable = np.isin([0, 1], dims)[:, None]
+    lo = np.where(movable, [[config.mu_min], [config.tb_min]], -np.inf)
+    hi = np.where(movable, [[config.mu_max], [config.tb_max]], np.inf)
+    x = np.array([[mu], [t_b]])
+    eta = np.array([total_transmittance(replace(base, L_km=L_km))])
+    _, grad, hess = optimize._derivatives(base, eta, x, dims, config.protocol, np.array([True]))
+    step, _, _ = optimize._ascent(x, grad, hess, movable, lo, hi)
+    y = np.clip(np.array([x[0] * np.exp(step[0]), x[1] + step[1]]), lo, hi)
+    rise = grad[0] * np.log(y[0] / x[0]) + grad[1] * (y[1] - x[1])
+    return float(y[0, 0]), float(y[1, 0]), float(rise[0])

@@ -51,9 +51,11 @@ NOQA = re.compile(r"#\s*noqa: F401\s+\S")  # the rule code, then a reason
 PRIVATE_IMPORTS = {
     "cli": {"optimize._point_record", "security._CHECKED"},
     # _margin: the search decides a rate's positivity by maximizing a smooth margin
-    # of the chain's record, which security builds beside the rate kernel
-    "optimize": {"security._Chain", "security._RATES", "security._accepted",
-                 "security._margin", "security._rate_chain"},
+    # of the chain's record, which security builds beside the rate kernel;
+    # _fiber_transmittance: a scan takes its distances' transmittances from floats,
+    # without a SystemParams per distance
+    "optimize": {"params._fiber_transmittance", "security._Chain", "security._RATES",
+                 "security._accepted", "security._margin", "security._rate_chain"},
     "security": {"gains._gain_record", "gains._n_minus", "gains._n_plus"},
 }
 

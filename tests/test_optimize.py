@@ -15,8 +15,8 @@ from cowqkd.cli import main
 from cowqkd.optimize import FLAG_NO_POSITIVE_RATE
 from cowqkd.params import Variant, total_transmittance
 from cowqkd.security import _rate_chain
-from conftest import (make_params, objective_surface, reference_grid, scan_incumbents,
-                      searched_config, stepwise_point)
+from conftest import (make_params, newton_candidate, objective_surface, reference_grid,
+                      scan_incumbents, searched_config, stepwise_point)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -411,6 +411,43 @@ def test_scan_rows_reach_the_golden_section_references():
                                               config.L_values[int(np.argmax(shortfall))])
 
 
+def test_refine_iters_caps_the_steps_the_unconfirmed_one_included():
+    # From a 2 x 2 grid within 1e-5 of a converged optimum, one Newton step lands
+    # within rounding of it, and the next would be taken without a confirming
+    # call; at refine_iters=1 a row is still its grid incumbent or that one step.
+    for variant, protocol in itertools.product(("passive", "active"), Protocol):
+        base = make_params(variant=variant, e_a=0.01)
+        [optimum] = scan(base, reference_config(protocol=protocol))
+        mu, t_b = optimum.mu_opt, optimum.tB_opt
+        config = reference_config(protocol=protocol, n_mu=2, n_tb=2, refine_iters=1,
+                                  mu_min=mu * (1.0 - 1e-5), mu_max=mu * (1.0 + 1e-5),
+                                  tb_min=t_b - 1e-5, tb_max=min(t_b + 1e-5, 0.99))
+        [start] = scan(base, replace(config, refine_iters=0))
+        [row] = scan(base, config)
+        *step, _ = newton_candidate(base, config, 50.0, start.mu_opt, start.tB_opt)
+        assert (row.mu_opt, row.tB_opt) in {(start.mu_opt, start.tB_opt), tuple(step)}, (
+            variant, protocol)
+
+
+def test_only_a_full_newton_step_is_taken_unconfirmed(monkeypatch):
+    # _newton on a fake objective, f = 1 + 1e-7 u^2 in u = log(mu / 0.01), from
+    # u = 1e-4: the Hessian is not negative definite, so the ascent is a gradient
+    # step, predicted to rise by 2e-15 f, below _NEAR f.  Only a full Newton step
+    # lands within f's rounding of an optimum: this one is confirmed, and the
+    # climb doubles u at each step up to the box's edge, mu_max.
+    def convex(base, eta, x, dims, protocol, climb):
+        u = np.log(x[0] / 0.01)
+        grad, hess = np.zeros((2, len(eta))), np.zeros((2, 2, len(eta)))
+        grad[0], hess[0, 0] = 2e-7 * u, 2e-7
+        return 1.0 + 1e-7 * u * u, grad, hess
+    monkeypatch.setattr(optimize, "_derivatives", convex)
+    config = reference_config(tb_fixed=0.5)
+    start = np.array([[0.01 * math.exp(1e-4)], [0.5]])
+    best, positive = optimize._newton(make_params(), np.array([0.5]), start, np.array([False]),
+                                      [0], config)
+    assert positive[0] and best[0, 0] == config.mu_max
+
+
 def test_active_rows_keep_tb_max():
     # The active rate is t_B times a t_B-free bracket, so the scan keeps tb_max and
     # refines mu alone: on every row of the active reference scans, zero-rate rows
@@ -463,13 +500,16 @@ def test_lockstep_scan_equals_one_distance_scans():
 
 
 def test_scan_memory_is_per_distance():
-    # passive: one 60 x 49 surface and its temporaries at a time, never one per
-    # distance; active: one tb_max column of 49 distances x 60 mu at a time, where
-    # a column of all 3001 distances would take about 29 MB.  The 0.5 km scans
-    # run to 1500 km, so few rows are refined, and the rows (3001 RatePoints,
-    # about 1.4 MB) and their one array pass take most of the active scan's
-    # 2.8 MB.  The 0.05 km scan refines 2332 rows, in blocks of 196 distances x
-    # 15 probes; refined all at once, they peaked at 9.8 MB.
+    # No search call holds more than optimize._CELLS cells (a complex point
+    # counts as two), whatever the number of distances: a grid call takes as
+    # many distances as fit, 51 x 160 cells passive and 204 x 40 on the active
+    # tb_max column, where one call over all 3001 distances would hold 120 040
+    # cells and their temporaries; a Newton block takes 512 passive distances
+    # (8 complex points each) or 1365 active ones (3 each).  The 0.5 km scans run
+    # to 1500 km, so few rows are positive, and the rows (3001 RatePoints, about
+    # 1.4 MB) and their one array pass take most of the active scans' peak.  The
+    # 0.05 km scan has 2332 positive rows; its 3001 distances run Newton in three
+    # blocks.
     for variant, n_distances, step in (("passive", 301, 0.5), ("active", 3001, 0.5),
                                        ("active", 3001, 0.05)):
         base = make_params(variant=variant)
@@ -489,12 +529,14 @@ def _grid_calls(base, config):
     """(distances, cells) of each grid call of a scan, in input order.
 
     A call grids as many distances as fit optimize._CELLS cells of the
-    searched grid (``searched_config``), at least one.
+    searched grid (``searched_config``), at least one; a distance whose grid
+    holds more cells grids them in mu-major runs of optimize._CELLS cells.
     """
     config = searched_config(base, config)
     cells = len(config.mu_grid()) * len(config.tb_grid())
     per_call, n = max(1, optimize._CELLS // cells), len(config.L_values)
-    return [(min(per_call, n - start), cells) for start in range(0, n, per_call)]
+    return [(min(per_call, n - start), min(optimize._CELLS, cells - first))
+            for start in range(0, n, per_call) for first in range(0, cells, optimize._CELLS)]
 
 
 def test_scan_objective_call_budget(monkeypatch):
@@ -507,16 +549,21 @@ def test_scan_objective_call_budget(monkeypatch):
         return record
     monkeypatch.setattr(optimize, "_rate_chain", counted)
     distances = tuple(float(L) for L in range(0, 151, 5))
-    # (variant, overrides, free coordinates of the Newton step): the active step moves
-    # mu alone.  A 60 x 49 grid takes two distances per call.
-    cases = [("passive", {}, 2), ("active", {}, 1), ("active", {"n_tb": 5}, 1),
-             ("passive", {"n_mu": 7, "n_tb": 3}, 2), ("passive", {"n_mu": 60, "n_tb": 49}, 2),
-             ("active", {"n_mu": 60, "n_tb": 49}, 1),
-             ("passive", {"mu_fixed": 0.004, "refine_iters": 5}, 1),
-             ("active", {"mu_fixed": 0.004, "refine_iters": 5}, 0)]
+    # (variant, overrides, free coordinates of the Newton step, the most Newton
+    # calls per block on these links): the active step moves mu alone.  A 60 x 49
+    # grid takes two distances per call, and a 120 x 97 grid one distance in two
+    # runs of cells.  From the default 40 x 4 grid every block converges within
+    # five calls, from a 7 x 3 one within eight; the other bounds are the caps.
+    cases = [("passive", {}, 2, 5), ("active", {}, 1, 5), ("active", {"n_tb": 5}, 1, 5),
+             ("passive", {"n_mu": 7, "n_tb": 3}, 2, 8),
+             ("passive", {"n_mu": 60, "n_tb": 49}, 2, 5),
+             ("active", {"n_mu": 60, "n_tb": 49}, 1, 5),
+             ("passive", {"n_mu": 120, "n_tb": 97}, 2, 5),
+             ("passive", {"mu_fixed": 0.004, "refine_iters": 5}, 1, 6),
+             ("active", {"mu_fixed": 0.004, "refine_iters": 5}, 0, 0)]
     for variant in ("passive", "active"):
-        cases.append((variant, {"tb_fixed": 0.37, "refine_iters": 5}, 1))
-    for variant, overrides, free in cases:
+        cases.append((variant, {"tb_fixed": 0.37, "refine_iters": 5}, 1, 6))
+    for variant, overrides, free, most in cases:
         for protocol in Protocol:
             config = reference_config(L_values=distances, protocol=protocol, **overrides)
             base = make_params(variant=variant)
@@ -527,8 +574,10 @@ def test_scan_objective_call_budget(monkeypatch):
             # array pass over every distance
             grid = [(len(v), v[0].size) for v in calls if not np.iscomplexobj(v)][:-1]
             assert grid == expected, (variant, overrides, protocol)
-            cells = expected[0][1]
-            assert len(grid) == math.ceil(len(distances) / max(1, optimize._CELLS // cells))
+            searched = searched_config(base, config)
+            cells = len(searched.mu_grid()) * len(searched.tb_grid())
+            assert len(grid) == (math.ceil(len(distances) / max(1, optimize._CELLS // cells))
+                                 * math.ceil(cells / optimize._CELLS))
             assert calls[-1].shape == (len(distances),)
             # no grid or Newton call holds more than the budget's cells; a complex
             # point holds two
@@ -540,11 +589,9 @@ def test_scan_objective_call_budget(monkeypatch):
             per_block = optimize._CELLS // (2 * free * (free + 2)) if free else 0
             blocks = math.ceil(len(distances) / per_block) if free else 0
             assert newton_calls <= (config.refine_iters + 1) * blocks, (variant, overrides)
-            # on these links, every block converges within nine calls (six from a
-            # 15 x 13 grid, nine from a 7 x 3 one)
-            assert newton_calls <= 9 * blocks, (variant, overrides, newton_calls)
+            assert newton_calls <= most * blocks, (variant, overrides, newton_calls)
     # the default passive COW scan grids every distance in one call
-    assert _grid_calls(make_params(), reference_config(L_values=distances)) == [(31, 15 * 13)]
+    assert _grid_calls(make_params(), reference_config(L_values=distances)) == [(31, 40 * 4)]
 
 
 def _first_return_from_zero(base, mu, t_b, objective, distances):

@@ -31,7 +31,7 @@ from cowqkd import (Protocol, ScanConfig, SystemParams, binary_entropy, evaluate
 from cowqkd.cli import main
 from cowqkd.params import total_transmittance
 from cowqkd.security import _accepted, _margin, _rate_chain
-from conftest import objective_surface, scan_incumbents, stepwise_point
+from conftest import newton_candidate, objective_surface, scan_incumbents, stepwise_point
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -298,6 +298,46 @@ def test_batched_rows_equal_one_distance_rows_and_the_dense_seeded_optima(
         assert got > 0.0 or not want > 0.0, (row, reference)
         if got > 0.0:
             assert abs(got - want) <= 1e-12 * got + 1e-14 * row.Q_z, (row, reference)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(link=_links.map(lambda link: {k: v for k, v in link.items() if k != "L_km"}),
+       distances=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=6),
+       protocol=st.sampled_from(list(Protocol)))
+def test_scan_rows_are_where_the_next_newton_step_predicts_no_rise(link, distances, protocol):
+    # At every positive row of a default scan, the next projected Newton step
+    # predicts a rise of at most 1e-20 R: the search stopped where a step is not
+    # worth taking (_RISE_TOL, 1e-22), or took its last full Newton step, predicted
+    # to rise by at most _NEAR = 1e-12 f, unconfirmed, and a full step from
+    # there converges quadratically.  Taking that step at a predicted 1e-8 f
+    # leaves about 1e-16 R to the next one.
+    base = SystemParams(L_km=0.0, mu=0.1, t_B=0.5, **link)
+    config = ScanConfig(L_values=tuple(distances), protocol=protocol)
+    with np.errstate(all="ignore"):
+        rows = _outcome(lambda: scan(base, config))
+    assume(not isinstance(rows, tuple))
+
+    def rates(rows):
+        return np.array([row.R if protocol is Protocol.COW else row.R_tilde for row in rows])
+
+    for row, rate in zip(rows, rates(rows)):
+        if rate > 0.0:
+            *_, rise = newton_candidate(base, config, row.L_km, row.mu_opt, row.tB_opt)
+            assert rise <= 1e-20 * rate, (row, rise / rate)
+    # The last step is never evaluated, so check that it did not fall: at each step
+    # count, until the scan reaches its rows, a row's rate is at least the one the
+    # same scan returns a step earlier, whose last step is evaluated.
+    earlier = np.zeros(len(rows))
+    for iters in range(config.refine_iters + 1):
+        with np.errstate(all="ignore"):
+            fewer = _outcome(lambda: scan(base, replace(config, refine_iters=iters)))
+        if isinstance(fewer, tuple):  # a rejected point, which a later step leaves
+            earlier = np.zeros(len(rows))
+            continue
+        assert (rates(fewer) >= (1.0 - 1e-12) * earlier).all(), (iters, rates(fewer), earlier)
+        if [(r.mu_opt, r.tB_opt) for r in fewer] == [(r.mu_opt, r.tB_opt) for r in rows]:
+            break
+        earlier = rates(fewer)
 
 
 # Links and settings where most rates are positive and no clamp is active.
